@@ -57,14 +57,12 @@ impl RecordSource {
     }
 
     /// The selected matrices of `batch`, in serialization order.
-    fn parts(self, batch: &SampleBatch) -> [Option<&BitMatrix>; 2] {
+    fn parts(self, batch: &SampleBatch) -> (&BitMatrix, Option<&BitMatrix>) {
         match self {
-            RecordSource::Measurements => [Some(&batch.measurements), None],
-            RecordSource::Detectors => [Some(&batch.detectors), None],
-            RecordSource::Observables => [Some(&batch.observables), None],
-            RecordSource::DetectorsAndObservables => {
-                [Some(&batch.detectors), Some(&batch.observables)]
-            }
+            RecordSource::Measurements => (&batch.measurements, None),
+            RecordSource::Detectors => (&batch.detectors, None),
+            RecordSource::Observables => (&batch.observables, None),
+            RecordSource::DetectorsAndObservables => (&batch.detectors, Some(&batch.observables)),
         }
     }
 }
@@ -145,10 +143,8 @@ fn push_bits_01(line: &mut Vec<u8>, m: &BitMatrix, shot: usize) {
 /// nonempty (a single-group line carries no separator).
 fn render_01_line(line: &mut Vec<u8>, source: RecordSource, batch: &SampleBatch, shot: usize) {
     line.clear();
-    let [first, second] = source.parts(batch);
-    if let Some(m) = first {
-        push_bits_01(line, m, shot);
-    }
+    let (first, second) = source.parts(batch);
+    push_bits_01(line, first, shot);
     if let Some(m) = second {
         if m.rows() > 0 {
             if !line.is_empty() {
@@ -241,12 +237,12 @@ impl<W: Write> ShotSink for SinkCounts<W> {
 /// bit `r % 8` of byte `r / 8` (little-endian bit order, padding bits
 /// zero). No separators — shot boundaries are implied by the row count.
 ///
-/// Single-matrix sources serialize through the word-blocked
-/// `transpose_packed` kernel (the record matrices are bit-packed along
-/// the shot dimension, so shot-major bytes are exactly a packed
-/// transpose) — serialization never dominates the sampling kernel. The
-/// combined detector+observable source bit-concatenates at an arbitrary
-/// offset and keeps the scalar path.
+/// Every source serializes through the word-blocked `transpose_packed`
+/// kernel (the record matrices are bit-packed along the shot dimension,
+/// so shot-major bytes are exactly a packed transpose) — serialization
+/// never dominates the sampling kernel. The combined detector+observable
+/// source transposes the detectors and ORs the few observable bits in at
+/// bit offset `num_detectors`.
 pub struct SinkB8<W: Write> {
     w: W,
     source: RecordSource,
@@ -264,12 +260,16 @@ impl<W: Write> SinkB8<W> {
             transposed: Vec::new(),
         }
     }
+}
 
-    /// The packed fast path: transpose the `rows × shots` matrix into
-    /// shot-major words, then emit the first `⌈rows/8⌉` little-endian
-    /// bytes of each shot row.
-    fn write_single(&mut self, m: &BitMatrix, shots: usize) -> io::Result<()> {
-        let rows = m.rows();
+impl<W: Write> ShotSink for SinkB8<W> {
+    /// Transposes the first matrix into shot-major words, sets the second
+    /// matrix's bits after it, then emits the first `⌈rows/8⌉`
+    /// little-endian bytes of each shot row.
+    fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
+        let (first, second) = self.source.parts(chunk);
+        let shots = chunk.shots();
+        let rows = first.rows() + second.map_or(0, BitMatrix::rows);
         let bytes = rows.div_ceil(8);
         if bytes == 0 || shots == 0 {
             return Ok(());
@@ -278,19 +278,32 @@ impl<W: Write> SinkB8<W> {
         self.transposed.clear();
         self.transposed.resize(shots * dst_stride, 0);
         symphase_bitmat::transpose::transpose_packed(
-            m.words(),
-            rows,
+            first.words(),
+            first.rows(),
             shots,
-            m.stride(),
+            first.stride(),
             &mut self.transposed,
             dst_stride,
         );
+        if let Some(m) = second {
+            for r in 0..m.rows() {
+                let bit = first.rows() + r;
+                let (word, mask) = (bit / 64, 1u64 << (bit % 64));
+                for (w, &packed) in m.row(r).iter().enumerate() {
+                    let mut ones = packed;
+                    while ones != 0 {
+                        let shot = w * 64 + ones.trailing_zeros() as usize;
+                        ones &= ones - 1;
+                        self.transposed[shot * dst_stride + word] |= mask;
+                    }
+                }
+            }
+        }
         self.buf.clear();
         self.buf.reserve(shots * bytes);
-        for shot in 0..shots {
-            let row = &self.transposed[shot * dst_stride..(shot + 1) * dst_stride];
+        for shot_row in self.transposed.chunks_exact(dst_stride) {
             let mut remaining = bytes;
-            for w in row {
+            for w in shot_row {
                 let take = remaining.min(8);
                 self.buf.extend_from_slice(&w.to_le_bytes()[..take]);
                 remaining -= take;
@@ -300,32 +313,6 @@ impl<W: Write> SinkB8<W> {
             }
         }
         self.w.write_all(&self.buf)
-    }
-}
-
-impl<W: Write> ShotSink for SinkB8<W> {
-    fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        let parts = self.source.parts(chunk);
-        if let [Some(m), None] = parts {
-            return self.write_single(m, chunk.shots());
-        }
-        let rows: usize = parts.iter().flatten().map(|m| m.rows()).sum();
-        let bytes = rows.div_ceil(8);
-        for shot in 0..chunk.shots() {
-            self.buf.clear();
-            self.buf.resize(bytes, 0);
-            let mut r = 0usize;
-            for m in parts.iter().flatten() {
-                for row in 0..m.rows() {
-                    if m.get(row, shot) {
-                        self.buf[r / 8] |= 1 << (r % 8);
-                    }
-                    r += 1;
-                }
-            }
-            self.w.write_all(&self.buf)?;
-        }
-        Ok(())
     }
 
     fn finish(&mut self) -> io::Result<()> {
@@ -356,11 +343,11 @@ impl<W: Write> SinkHits<W> {
 
 impl<W: Write> ShotSink for SinkHits<W> {
     fn chunk(&mut self, chunk: &SampleBatch, _start: usize) -> io::Result<()> {
-        let parts = self.source.parts(chunk);
+        let (first, second) = self.source.parts(chunk);
         for shot in 0..chunk.shots() {
             self.line.clear();
             let mut base = 0usize;
-            for m in parts.iter().flatten() {
+            for m in std::iter::once(first).chain(second) {
                 for row in 0..m.rows() {
                     if m.get(row, shot) {
                         if !self.line.is_empty() {

@@ -11,8 +11,10 @@
 //! depend on the tableau — derives detectors and observables from the same
 //! resolution code.)
 
+use std::collections::HashMap;
+
 use symphase_bitmat::{BitMatrix, BitVec};
-use symphase_circuit::{Circuit, Instruction};
+use symphase_circuit::{Circuit, Instruction, PauliFactor};
 
 /// Collects `(measurement_indices)` for every detector in order.
 ///
@@ -45,6 +47,45 @@ pub fn observable_measurement_sets(circuit: &Circuit) -> Vec<Vec<usize>> {
                 out[*index as usize].extend(resolve(lookbacks, measured));
             }
             _ => measured += inst.measurements_added(),
+        }
+    }
+    out
+}
+
+/// For every measurement record, the previous record that measured the
+/// same qubit (single-qubit measurements, any basis) or the same Pauli
+/// product (`MPP`, factor order ignored); `None` for a first measurement.
+///
+/// Streamed like [`detector_measurement_sets`]. A QEC round re-measures
+/// each stabilizer, so a record and its predecessor share everything but
+/// the faults between them — the pair a detector compares.
+pub fn previous_same_target_records(circuit: &Circuit) -> Vec<Option<usize>> {
+    #[derive(PartialEq, Eq, Hash)]
+    enum Target {
+        Qubit(u32),
+        Product(Vec<PauliFactor>),
+    }
+    let mut last = HashMap::new();
+    let mut out = Vec::new();
+    let mut record = |target: Target, out: &mut Vec<Option<usize>>| {
+        let m = out.len();
+        out.push(last.insert(target, m));
+    };
+    for inst in circuit.flat_instructions() {
+        match inst {
+            Instruction::Measure { targets, .. } | Instruction::MeasureReset { targets, .. } => {
+                for &q in targets {
+                    record(Target::Qubit(q), &mut out);
+                }
+            }
+            Instruction::MeasurePauliProduct { products } => {
+                for product in products {
+                    let mut key = product.clone();
+                    key.sort_unstable_by_key(|&(_, q)| q);
+                    record(Target::Product(key), &mut out);
+                }
+            }
+            _ => {}
         }
     }
     out
@@ -135,6 +176,19 @@ mod tests {
         c.detector(&[-1]);
         c.observable_include(0, &[-1, -3]);
         c
+    }
+
+    #[test]
+    fn previous_records_follow_qubits_and_products() {
+        use symphase_circuit::PauliKind::{X, Z};
+        let mut c = annotated(); // records 0..3: qubits 0, 1, 0
+        c.measure_pauli_product(&[(X, 0), (Z, 1)]);
+        c.measure_pauli_product(&[(Z, 1), (X, 0)]);
+        c.measure_reset(1);
+        assert_eq!(
+            previous_same_target_records(&c),
+            [None, None, Some(0), None, Some(3), Some(1)]
+        );
     }
 
     #[test]

@@ -132,17 +132,29 @@ impl SparseBitVec {
             self.indices.clone_from(&other.indices);
             return;
         }
-        let mut out = Vec::with_capacity(self.indices.len() + other.indices.len());
+        let mut out = Self {
+            indices: Vec::with_capacity(self.indices.len() + other.indices.len()),
+        };
+        self.xor_into(other, &mut out);
+        *self = out;
+    }
+
+    /// Writes `self ⊕ other` into `out`, reusing its allocation: a
+    /// scratch vector that is cloned afterwards keeps every stored row at
+    /// exact size, where [`SparseBitVec::xor_assign`] leaves capacity for
+    /// `|self| + |other|` indices.
+    pub fn xor_into(&self, other: &Self, out: &mut Self) {
+        out.indices.clear();
         let (a, b) = (&self.indices, &other.indices);
         let (mut i, mut j) = (0, 0);
         while i < a.len() && j < b.len() {
             match a[i].cmp(&b[j]) {
                 std::cmp::Ordering::Less => {
-                    out.push(a[i]);
+                    out.indices.push(a[i]);
                     i += 1;
                 }
                 std::cmp::Ordering::Greater => {
-                    out.push(b[j]);
+                    out.indices.push(b[j]);
                     j += 1;
                 }
                 std::cmp::Ordering::Equal => {
@@ -151,9 +163,8 @@ impl SparseBitVec {
                 }
             }
         }
-        out.extend_from_slice(&a[i..]);
-        out.extend_from_slice(&b[j..]);
-        self.indices = out;
+        out.indices.extend_from_slice(&a[i..]);
+        out.indices.extend_from_slice(&b[j..]);
     }
 
     /// XOR-accumulates, for every set bit `k`, the packed row `rows(k)` into
@@ -340,6 +351,17 @@ mod tests {
         let mut e = SparseBitVec::new();
         e.xor_assign(&a);
         assert_eq!(e, a);
+    }
+
+    #[test]
+    fn xor_into_overwrites_scratch() {
+        let a = SparseBitVec::from_indices([0, 3, 7]);
+        let b = SparseBitVec::from_indices([3, 4]);
+        let mut scratch = SparseBitVec::from_indices(0..100);
+        a.xor_into(&b, &mut scratch);
+        assert_eq!(scratch.indices(), &[0, 4, 7]);
+        b.xor_into(&SparseBitVec::new(), &mut scratch);
+        assert_eq!(scratch, b);
     }
 
     #[test]

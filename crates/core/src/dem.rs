@@ -29,7 +29,7 @@ use std::fmt;
 use symphase_bitmat::SparseRowMatrix;
 
 use crate::sampler::SymPhaseSampler;
-use crate::symbol::{SymbolGroup, SymbolId};
+use crate::symbol::SymbolId;
 
 /// One error mechanism: with `probability`, flip the listed detectors and
 /// logical observables.
@@ -345,7 +345,7 @@ impl SymPhaseSampler {
         // Symptom (detectors, observables) → (probability, witness).
         type Merged = HashMap<(Vec<u32>, Vec<u32>), (f64, Vec<SymbolId>)>;
         let mut merged: Merged = HashMap::new();
-        let mut add = |symbols: &[SymbolId], probability: f64| {
+        let add = |symbols: &[SymbolId], probability: f64| {
             if probability <= 0.0 {
                 return;
             }
@@ -366,65 +366,7 @@ impl SymPhaseSampler {
             entry.0 = entry.0 * (1.0 - probability) + probability * (1.0 - entry.0);
         };
 
-        // Probability that the current correlated chain has not fired yet
-        // (chain elements are contiguous in allocation order).
-        let mut chain_none = 1.0f64;
-        for group in self.symbol_table().groups() {
-            match *group {
-                SymbolGroup::Coin { .. } => {}
-                SymbolGroup::Bernoulli { id, p } => add(&[id], p),
-                SymbolGroup::Depolarize1 { x_id, z_id, p } => {
-                    add(&[x_id], p / 3.0);
-                    add(&[x_id, z_id], p / 3.0);
-                    add(&[z_id], p / 3.0);
-                }
-                SymbolGroup::Depolarize2 { ids, p } => {
-                    for k in 1u32..16 {
-                        let subset: Vec<SymbolId> = ids
-                            .iter()
-                            .enumerate()
-                            .filter(|(j, _)| k & (1 << j) != 0)
-                            .map(|(_, &id)| id)
-                            .collect();
-                        add(&subset, p / 15.0);
-                    }
-                }
-                SymbolGroup::PauliChannel1 {
-                    x_id,
-                    z_id,
-                    px,
-                    py,
-                    pz,
-                } => {
-                    add(&[x_id], px);
-                    add(&[x_id, z_id], py);
-                    add(&[z_id], pz);
-                }
-                SymbolGroup::PauliChannel2 { ids, probs } => {
-                    for (m, &p) in probs.iter().enumerate() {
-                        let bits = symphase_circuit::pauli_channel_2_bits(m + 1);
-                        let subset: Vec<SymbolId> = ids
-                            .iter()
-                            .enumerate()
-                            .filter(|&(j, _)| bits[j])
-                            .map(|(_, &id)| id)
-                            .collect();
-                        add(&subset, p);
-                    }
-                }
-                SymbolGroup::Correlated { id, p, else_branch } => {
-                    // Marginal probability: conditional `p` scaled by the
-                    // chain not having fired yet.
-                    let marginal = if else_branch { chain_none * p } else { p };
-                    if else_branch {
-                        chain_none *= 1.0 - p;
-                    } else {
-                        chain_none = 1.0 - p;
-                    }
-                    add(&[id], marginal);
-                }
-            }
-        }
+        self.symbol_table().for_each_mechanism(add);
 
         let errors: Vec<DemError> = merged
             .into_iter()

@@ -96,6 +96,17 @@ impl SymExpr {
         self.symbols.xor_assign(&other.symbols);
     }
 
+    /// Writes `self ⊕ other` into `out`, reusing its allocation.
+    pub(crate) fn xor_into(&self, other: &SymExpr, out: &mut SymExpr) {
+        out.constant = self.constant ^ other.constant;
+        self.symbols.xor_into(&other.symbols, &mut out.symbols);
+    }
+
+    /// Set entries of the phase-vector row: the symbols plus the constant.
+    pub(crate) fn row_weight(&self) -> usize {
+        self.symbols.count_ones() + usize::from(self.constant)
+    }
+
     /// Evaluates under a concrete assignment: `assignment` has one bit per
     /// symbol id (index 0 unused/constant — it is ignored; the constant
     /// term comes from the expression itself).
@@ -110,10 +121,14 @@ impl SymExpr {
     /// The sparse phase-vector row over `F₂^{n_s+1}` (index 0 = constant) —
     /// the `m` bit-vector of paper §3.2.1.
     pub fn to_sparse_row(&self) -> SparseBitVec {
-        let mut row = self.symbols.clone();
-        if self.constant {
-            row.flip(0);
-        }
+        // Merging into the constant's singleton allocates the row at its
+        // exact size; flipping bit 0 into a clone would regrow it.
+        let mut row = if self.constant {
+            SparseBitVec::singleton(0)
+        } else {
+            SparseBitVec::new()
+        };
+        row.xor_assign(&self.symbols);
         row
     }
 

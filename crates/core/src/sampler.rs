@@ -4,11 +4,14 @@ use std::sync::OnceLock;
 
 use rand::{Rng, RngCore};
 
-use symphase_backend::record::{detector_measurement_sets, observable_measurement_sets};
+use symphase_backend::record::{
+    detector_measurement_sets, observable_measurement_sets, previous_same_target_records,
+};
 pub use symphase_backend::SampleBatch;
 use symphase_backend::Sampler;
 pub use symphase_backend::{PhaseRepr, SamplingMethod};
 use symphase_bitmat::bernoulli::{fill_bernoulli, for_each_bernoulli_index};
+use symphase_bitmat::word::xor_into;
 use symphase_bitmat::{BitMatrix, SparseBitVec, SparseRowMatrix};
 use symphase_circuit::Circuit;
 
@@ -25,6 +28,14 @@ use crate::symbol::{SymbolGroup, SymbolTable};
 /// **Sampling**: it draws an assignment matrix `B` from the noise model and
 /// multiplies (Eq. (4)) — no circuit traversal, so the per-shot cost is
 /// independent of the gate count (Table 1).
+///
+/// `M` is multiplied in **delta-encoded** form: row `m` is stored as its
+/// XOR with its parent's row — the previous record on the same qubit or
+/// Pauli product, where that is strictly sparser — and one pass per shot
+/// window XORs each parent's output into its children's. On a QEC memory
+/// `nnz(M)` grows quadratically in rounds, the deltas only linearly. The
+/// delta program, the [`SamplingMethod::Auto`] pick and every kernel index
+/// are built on first use, so commands that never sample (`dem`) skip them.
 ///
 /// # Example
 ///
@@ -51,34 +62,91 @@ pub struct SymPhaseSampler {
     /// The sampling method the `Sampler` trait entry points use (`Auto`
     /// when unpinned).
     method: SamplingMethod,
-    /// What [`SamplingMethod::Auto`] resolves to on this circuit
-    /// (precomputed so sampling never needs the circuit back).
-    auto_method: SamplingMethod,
     table: SymbolTable,
     measurement_exprs: Vec<SymExpr>,
     random_records: Vec<bool>,
-    meas_rows: SparseRowMatrix,
+    /// Per record, the previous record on the same measured qubit or
+    /// Pauli product: the parent the delta program may use.
+    previous_records: Vec<Option<usize>>,
     det_rows: SparseRowMatrix,
     obs_rows: SparseRowMatrix,
-    dense_meas: OnceLock<BitMatrix>,
-    dense_det: OnceLock<BitMatrix>,
-    dense_obs: OnceLock<BitMatrix>,
+    /// The full measurement matrix, built only when asked for; sampling
+    /// multiplies the delta program instead.
+    meas_rows: OnceLock<SparseRowMatrix>,
+    program: OnceLock<DeltaProgram>,
+    /// Dense forms of [`SymPhaseSampler::record_rows`], in its order.
+    dense: [OnceLock<BitMatrix>; 3],
     hybrid_index: OnceLock<HybridIndex>,
 }
 
+/// Marks a record without a parent: its delta is its full row.
+const NO_PARENT: u32 = u32::MAX;
+
+/// The measurement matrix as a straight-line XOR program — the row-major
+/// rowsum of Aaronson–Gottesman applied to the record: row `m` of `M` is
+/// `delta[m] ⊕ row(parent[m])`, with `parent[m] < m`.
+#[derive(Debug)]
+struct DeltaProgram {
+    /// `parent[m]`, or [`NO_PARENT`].
+    parent: Vec<u32>,
+    delta: SparseRowMatrix,
+    /// What [`SamplingMethod::Auto`] resolves to, costed on this program.
+    auto_method: SamplingMethod,
+}
+
+impl DeltaProgram {
+    /// Takes each record's previous same-target record as its parent when
+    /// the XOR of the two rows is strictly sparser than the record's own
+    /// row. Deltas are merged into one reused scratch expression and
+    /// stored at exact size.
+    fn build(table: &SymbolTable, exprs: &[SymExpr], previous: &[Option<usize>]) -> Self {
+        let mut parent = Vec::with_capacity(exprs.len());
+        let mut delta = SparseRowMatrix::new(table.assignment_len());
+        let mut scratch = SymExpr::zero();
+        for (m, e) in exprs.iter().enumerate() {
+            let sparser = previous[m].filter(|&p| {
+                e.xor_into(&exprs[p], &mut scratch);
+                scratch.row_weight() < e.row_weight()
+            });
+            let p = sparser.map_or(Ok(NO_PARENT), u32::try_from);
+            parent.push(p.expect("record indices fit in u32"));
+            delta.push_row(if sparser.is_some() { &scratch } else { e }.to_sparse_row());
+        }
+        let parented = parent.iter().filter(|&&p| p != NO_PARENT).count();
+        Self {
+            auto_method: resolve_auto_from_matrix(table, &delta, parented),
+            parent,
+            delta,
+        }
+    }
+
+    /// Folds the parent chain over the word window `words` of `out`:
+    /// `out[m] ^= out[parent[m]]` in record order, so every parent is
+    /// final before its children read it.
+    fn unfold(&self, out: &mut BitMatrix, words: std::ops::Range<usize>) {
+        let stride = out.stride();
+        let data = out.words_mut();
+        for (m, &p) in self.parent.iter().enumerate() {
+            if p != NO_PARENT {
+                let (done, rest) = data.split_at_mut(m * stride);
+                let src = &done[p as usize * stride..][words.clone()];
+                xor_into(&mut rest[words.clone()], src);
+            }
+        }
+    }
+}
+
 /// Precomputed structure for [`SamplingMethod::Hybrid`]: the coin
-/// remapping plus, per record matrix (measurements / detectors /
-/// observables), the coin-only restriction of its rows and the
-/// fault-symbol → rows index.
+/// remapping plus, per record matrix (in [`SymPhaseSampler::record_rows`]
+/// order), the coin-only restriction of its rows and the fault-symbol →
+/// rows index.
 #[derive(Debug)]
 struct HybridIndex {
     /// `coin_rank[id]` = 1-based coin index, 0 for fault symbols (and for
     /// the constant at index 0).
     coin_rank: Vec<u32>,
     num_coins: usize,
-    meas: EventTarget,
-    det: EventTarget,
-    obs: EventTarget,
+    targets: [EventTarget; 3],
 }
 
 /// One record matrix as the hybrid strategy sees it.
@@ -93,12 +161,7 @@ struct EventTarget {
 }
 
 impl HybridIndex {
-    fn build(
-        table: &SymbolTable,
-        meas: &SparseRowMatrix,
-        det: &SparseRowMatrix,
-        obs: &SparseRowMatrix,
-    ) -> Self {
+    fn build(table: &SymbolTable, rows: [&SparseRowMatrix; 3]) -> Self {
         let len = table.assignment_len();
         let mut coin_rank = vec![0u32; len];
         let mut num_coins = 0u32;
@@ -109,9 +172,7 @@ impl HybridIndex {
             }
         }
         Self {
-            meas: EventTarget::build(&coin_rank, num_coins as usize, meas),
-            det: EventTarget::build(&coin_rank, num_coins as usize, det),
-            obs: EventTarget::build(&coin_rank, num_coins as usize, obs),
+            targets: rows.map(|r| EventTarget::build(&coin_rank, num_coins as usize, r)),
             coin_rank,
             num_coins: num_coins as usize,
         }
@@ -196,10 +257,6 @@ impl SymPhaseSampler {
         method: SamplingMethod,
     ) -> Self {
         let cols = init.table.assignment_len();
-        let mut meas_rows = SparseRowMatrix::new(cols);
-        for e in &init.measurements {
-            meas_rows.push_row(e.to_sparse_row());
-        }
         let build_derived = |sets: Vec<Vec<usize>>| {
             let mut rows = SparseRowMatrix::new(cols);
             for set in sets {
@@ -213,20 +270,18 @@ impl SymPhaseSampler {
         };
         let det_rows = build_derived(detector_measurement_sets(circuit));
         let obs_rows = build_derived(observable_measurement_sets(circuit));
-        let auto_method = resolve_auto_from_matrix(&init.table, &meas_rows);
         Self {
             requested_repr,
             method,
-            auto_method,
             table: init.table,
             measurement_exprs: init.measurements,
             random_records: init.random_records,
-            meas_rows,
+            previous_records: previous_same_target_records(circuit),
             det_rows,
             obs_rows,
-            dense_meas: OnceLock::new(),
-            dense_det: OnceLock::new(),
-            dense_obs: OnceLock::new(),
+            meas_rows: OnceLock::new(),
+            program: OnceLock::new(),
+            dense: Default::default(),
             hybrid_index: OnceLock::new(),
         }
     }
@@ -243,9 +298,10 @@ impl SymPhaseSampler {
         self.method
     }
 
-    /// What [`SamplingMethod::Auto`] resolves to on this circuit.
+    /// What [`SamplingMethod::Auto`] resolves to on this circuit (builds
+    /// the delta program on first call).
     pub fn resolved_method(&self) -> SamplingMethod {
-        self.auto_method
+        self.program().auto_method
     }
 
     /// Number of measurement outcomes per shot.
@@ -301,9 +357,16 @@ impl SymPhaseSampler {
         SymExpr::from_sparse_row(self.obs_rows.row(o))
     }
 
-    /// The measurement matrix `M` in sparse form.
+    /// The measurement matrix `M` in sparse form, one full row per record
+    /// (built on first call; sampling never reads it).
     pub fn measurement_matrix(&self) -> &SparseRowMatrix {
-        &self.meas_rows
+        self.meas_rows.get_or_init(|| {
+            let mut rows = SparseRowMatrix::new(self.table.assignment_len());
+            for e in &self.measurement_exprs {
+                rows.push_row(e.to_sparse_row());
+            }
+            rows
+        })
     }
 
     /// The detector rows (XORs of measurement rows) in sparse form.
@@ -338,49 +401,26 @@ impl SymPhaseSampler {
         rng: &mut impl Rng,
         method: SamplingMethod,
     ) -> BitMatrix {
-        let method = self.resolve_method(method);
-        let mut out = BitMatrix::zeros(self.meas_rows.rows(), shots);
-        SAMPLE_SCRATCH.with(|cell| {
-            let scratch = &mut *cell.borrow_mut();
-            for start in (0..shots).step_by(Self::SHOT_BATCH) {
-                let width = Self::SHOT_BATCH.min(shots - start);
-                debug_assert_eq!(start % 64, 0, "batch starts must be word-aligned");
-                match method {
-                    SamplingMethod::Auto => unreachable!("resolved above"),
-                    SamplingMethod::Hybrid => {
-                        self.draw_hybrid(width, rng, scratch);
-                        let idx = self.hybrid_index();
-                        let coins = scratch.coins.as_ref().expect("drawn above");
-                        apply_hybrid(&idx.meas, coins, &scratch.events, &mut out, start);
-                    }
-                    SamplingMethod::SparseRows => {
-                        let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        self.meas_rows.mul_dense_into(b, &mut out, start / 64);
-                    }
-                    SamplingMethod::DenseMatMul => {
-                        let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        let dense = self.dense_meas.get_or_init(|| self.meas_rows.to_dense());
-                        dense.mul_into(b, &mut out, start / 64, &mut scratch.m4r);
-                    }
-                }
-            }
-        });
+        let mut out = BitMatrix::zeros(self.num_measurements(), shots);
+        self.sample_windows(shots, rng, method, &mut [&mut out]);
         out
     }
 
-    /// `Auto` → the per-circuit pick; fixed methods pass through.
-    fn resolve_method(&self, method: SamplingMethod) -> SamplingMethod {
-        if method == SamplingMethod::Auto {
-            self.auto_method
-        } else {
-            method
-        }
+    fn program(&self) -> &DeltaProgram {
+        self.program.get_or_init(|| {
+            DeltaProgram::build(&self.table, &self.measurement_exprs, &self.previous_records)
+        })
+    }
+
+    /// The record matrices every kernel multiplies: the measurement deltas,
+    /// the detector rows and the observable rows.
+    fn record_rows(&self) -> [&SparseRowMatrix; 3] {
+        [&self.program().delta, &self.det_rows, &self.obs_rows]
     }
 
     fn hybrid_index(&self) -> &HybridIndex {
-        self.hybrid_index.get_or_init(|| {
-            HybridIndex::build(&self.table, &self.meas_rows, &self.det_rows, &self.obs_rows)
-        })
+        self.hybrid_index
+            .get_or_init(|| HybridIndex::build(&self.table, self.record_rows()))
     }
 
     /// Samples measurements, detectors and observables from one shared
@@ -388,7 +428,7 @@ impl SymPhaseSampler {
     /// matrices).
     pub fn sample_batch(&self, shots: usize, rng: &mut impl Rng) -> SampleBatch {
         let mut batch = SampleBatch::zeros(
-            self.meas_rows.rows(),
+            self.num_measurements(),
             self.det_rows.rows(),
             self.obs_rows.rows(),
             shots,
@@ -417,64 +457,64 @@ impl SymPhaseSampler {
         rng: &mut impl Rng,
         method: SamplingMethod,
     ) {
-        let method = self.resolve_method(method);
         let shots = batch.shots();
         batch.clear();
+        let outs = &mut [
+            &mut batch.measurements,
+            &mut batch.detectors,
+            &mut batch.observables,
+        ];
+        self.sample_windows(shots, rng, method, outs);
+    }
+
+    /// The one sampling kernel: per shot window, draws the assignments and
+    /// XOR-accumulates the product of each record matrix into the matching
+    /// zeroed output (`outs` follows [`SymPhaseSampler::record_rows`] and
+    /// may stop after the measurements), then unfolds the delta program
+    /// over the measurement window.
+    fn sample_windows(
+        &self,
+        shots: usize,
+        rng: &mut impl Rng,
+        method: SamplingMethod,
+        outs: &mut [&mut BitMatrix],
+    ) {
+        let method = match method {
+            SamplingMethod::Auto => self.resolved_method(),
+            fixed => fixed,
+        };
         SAMPLE_SCRATCH.with(|cell| {
             let scratch = &mut *cell.borrow_mut();
             for start in (0..shots).step_by(Self::SHOT_BATCH) {
                 let width = Self::SHOT_BATCH.min(shots - start);
-                debug_assert_eq!(start % 64, 0, "batch starts must be word-aligned");
+                let offset = start / 64;
                 match method {
                     SamplingMethod::Auto => unreachable!("resolved above"),
                     SamplingMethod::Hybrid => {
                         self.draw_hybrid(width, rng, scratch);
-                        let idx = self.hybrid_index();
                         let coins = scratch.coins.as_ref().expect("drawn above");
-                        apply_hybrid(
-                            &idx.meas,
-                            coins,
-                            &scratch.events,
-                            &mut batch.measurements,
-                            start,
-                        );
-                        apply_hybrid(
-                            &idx.det,
-                            coins,
-                            &scratch.events,
-                            &mut batch.detectors,
-                            start,
-                        );
-                        apply_hybrid(
-                            &idx.obs,
-                            coins,
-                            &scratch.events,
-                            &mut batch.observables,
-                            start,
-                        );
+                        let targets = &self.hybrid_index().targets;
+                        for (target, out) in targets.iter().zip(outs.iter_mut()) {
+                            apply_hybrid(target, coins, &scratch.events, out, start);
+                        }
                     }
                     SamplingMethod::SparseRows => {
                         let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        self.meas_rows
-                            .mul_dense_into(b, &mut batch.measurements, start / 64);
-                        self.det_rows
-                            .mul_dense_into(b, &mut batch.detectors, start / 64);
-                        self.obs_rows
-                            .mul_dense_into(b, &mut batch.observables, start / 64);
+                        for (rows, out) in self.record_rows().iter().zip(outs.iter_mut()) {
+                            rows.mul_dense_into(b, out, offset);
+                        }
                     }
                     SamplingMethod::DenseMatMul => {
                         let b = fill_assignments(&self.table, &mut scratch.assignments, width, rng);
-                        self.dense_meas
-                            .get_or_init(|| self.meas_rows.to_dense())
-                            .mul_into(b, &mut batch.measurements, start / 64, &mut scratch.m4r);
-                        self.dense_det
-                            .get_or_init(|| self.det_rows.to_dense())
-                            .mul_into(b, &mut batch.detectors, start / 64, &mut scratch.m4r);
-                        self.dense_obs
-                            .get_or_init(|| self.obs_rows.to_dense())
-                            .mul_into(b, &mut batch.observables, start / 64, &mut scratch.m4r);
+                        let rows = self.record_rows();
+                        for (i, out) in outs.iter_mut().enumerate() {
+                            let dense = self.dense[i].get_or_init(|| rows[i].to_dense());
+                            dense.mul_into(b, out, offset, &mut scratch.m4r);
+                        }
                     }
                 }
+                self.program()
+                    .unfold(outs[0], offset..offset + width.div_ceil(64));
             }
         });
     }
@@ -679,19 +719,27 @@ const FLIP_COST: f64 = 8.0;
 
 /// [`SamplingMethod::Auto`] resolution from what Initialization actually
 /// built (the precise counterpart of the statistics-only estimate in
-/// [`SamplingMethod::resolve`]). Costs are per 64-shot word:
+/// [`SamplingMethod::resolve`]), costed on the rows every kernel
+/// multiplies — the measurement deltas, of which `parented` rows are
+/// folded onto a parent. Costs are per 64-shot word:
 ///
 /// * `Hybrid` — the coin-restricted product plus, per fault symbol, its
 ///   fire probability times the rows it touches, weighted by
 ///   [`FLIP_COST`] (events are scattered single-bit flips).
-/// * matrix product — one word XOR per set bit of `M`; within that, the
+/// * matrix product — one word XOR per set bit of `rows`; within that, the
 ///   blocked kernel wins once rows average more set bits than the kernel
 ///   has 8-bit column groups (one table lookup replaces up to 8 gathers).
-fn resolve_auto_from_matrix(table: &SymbolTable, meas_rows: &SparseRowMatrix) -> SamplingMethod {
+///
+/// Both pay one word XOR per parented row for the unfolding pass.
+fn resolve_auto_from_matrix(
+    table: &SymbolTable,
+    rows: &SparseRowMatrix,
+    parented: usize,
+) -> SamplingMethod {
     let len = table.assignment_len();
     let mut colcount = vec![0u32; len];
     let mut nnz = 0usize;
-    for row in meas_rows.iter() {
+    for row in rows.iter() {
         for &c in row.indices() {
             colcount[c as usize] += 1;
             nnz += 1;
@@ -699,72 +747,25 @@ fn resolve_auto_from_matrix(table: &SymbolTable, meas_rows: &SparseRowMatrix) ->
     }
     // Constant + coin columns are multiplied densely by the hybrid path.
     let mut coin_nnz = colcount[0] as f64;
-    // Expected fault-bit flips per shot: marginal fire probability of
-    // each symbol times the measurement rows containing it.
-    let mut flips_per_shot = 0.0;
-    // Probability that the current correlated chain has not fired yet
-    // (groups are visited in allocation order, chains contiguous).
-    let mut chain_none = 1.0;
     for group in table.groups() {
-        match *group {
-            SymbolGroup::Coin { id } => coin_nnz += colcount[id as usize] as f64,
-            SymbolGroup::Bernoulli { id, p } => {
-                flips_per_shot += p * colcount[id as usize] as f64;
-            }
-            SymbolGroup::Depolarize1 { x_id, z_id, p } => {
-                // Each component fires in 2 of the 3 equiprobable faults.
-                let marginal = 2.0 * p / 3.0;
-                flips_per_shot +=
-                    marginal * (colcount[x_id as usize] + colcount[z_id as usize]) as f64;
-            }
-            SymbolGroup::Depolarize2 { ids, p } => {
-                // Each of the four symbols is set in 8 of the 15 Paulis.
-                let marginal = 8.0 * p / 15.0;
-                for id in ids {
-                    flips_per_shot += marginal * colcount[id as usize] as f64;
-                }
-            }
-            SymbolGroup::PauliChannel1 {
-                x_id,
-                z_id,
-                px,
-                py,
-                pz,
-            } => {
-                flips_per_shot += (px + py) * colcount[x_id as usize] as f64
-                    + (py + pz) * colcount[z_id as usize] as f64;
-            }
-            SymbolGroup::PauliChannel2 { ids, probs } => {
-                // Marginal of each symbol: sum of the outcomes setting it.
-                let mut marginals = [0.0f64; 4];
-                for (m, &p) in probs.iter().enumerate() {
-                    let bits = symphase_circuit::pauli_channel_2_bits(m + 1);
-                    for (j, marg) in marginals.iter_mut().enumerate() {
-                        if bits[j] {
-                            *marg += p;
-                        }
-                    }
-                }
-                for (j, &id) in ids.iter().enumerate() {
-                    flips_per_shot += marginals[j] * colcount[id as usize] as f64;
-                }
-            }
-            SymbolGroup::Correlated { id, p, else_branch } => {
-                let marginal = if else_branch { chain_none * p } else { p };
-                if else_branch {
-                    chain_none *= 1.0 - p;
-                } else {
-                    chain_none = 1.0 - p;
-                }
-                flips_per_shot += marginal * colcount[id as usize] as f64;
-            }
+        if let SymbolGroup::Coin { id } = *group {
+            coin_nnz += colcount[id as usize] as f64;
         }
     }
-    let hybrid_cost = coin_nnz + FLIP_COST * 64.0 * flips_per_shot;
-    let matrix_cost = nnz as f64;
+    // Expected fault-bit flips per shot: each mechanism's probability
+    // times the rows its symbols touch.
+    let mut flips_per_shot = 0.0;
+    table.for_each_mechanism(|symbols, p| {
+        for &id in symbols {
+            flips_per_shot += p * colcount[id as usize] as f64;
+        }
+    });
+    let unfold_cost = parented as f64;
+    let hybrid_cost = coin_nnz + FLIP_COST * 64.0 * flips_per_shot + unfold_cost;
+    let matrix_cost = nnz as f64 + unfold_cost;
     if hybrid_cost < matrix_cost {
         SamplingMethod::Hybrid
-    } else if nnz > meas_rows.rows().max(1) * len.div_ceil(8) {
+    } else if nnz > rows.rows().max(1) * len.div_ceil(8) {
         SamplingMethod::DenseMatMul
     } else {
         SamplingMethod::SparseRows
@@ -797,12 +798,105 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symphase_circuit::generators::{
-        bell_pair, ghz, repetition_code_memory, teleportation, RepetitionCodeConfig,
+        bell_pair, ghz, repetition_code_memory, surface_code_memory, teleportation,
+        RepetitionCodeConfig, SurfaceCodeConfig,
     };
     use symphase_circuit::NoiseChannel;
 
     fn rng(seed: u64) -> StdRng {
         StdRng::seed_from_u64(seed)
+    }
+
+    fn surface(distance: usize, rounds: usize) -> Circuit {
+        surface_code_memory(&SurfaceCodeConfig {
+            distance,
+            rounds,
+            data_error: 0.001,
+            measure_error: 0.001,
+        })
+    }
+
+    #[test]
+    fn delta_program_folds_back_to_the_measurement_matrix() {
+        let repetition = repetition_code_memory(&RepetitionCodeConfig {
+            distance: 5,
+            rounds: 6,
+            data_error: 0.01,
+            measure_error: 0.01,
+        });
+        let circuits = [
+            ("surface d=3 r=50", surface(3, 50)),
+            ("repetition", repetition),
+            ("ghz", ghz(6)),
+            ("teleportation", teleportation()),
+        ];
+        for (name, c) in circuits {
+            let s = SymPhaseSampler::new(&c);
+            let program = s.program();
+            let full = s.measurement_matrix();
+            let mut folded: Vec<SparseBitVec> = Vec::new();
+            for (m, &p) in program.parent.iter().enumerate() {
+                let mut row = program.delta.row(m).clone();
+                if p != NO_PARENT {
+                    assert!((p as usize) < m, "{name}: parent {p} of record {m}");
+                    assert!(
+                        row.count_ones() < full.row(m).count_ones(),
+                        "{name}: record {m} keeps a delta that is not sparser"
+                    );
+                    row.xor_assign(&folded[p as usize]);
+                }
+                assert_eq!(&row, full.row(m), "{name}: record {m}");
+                folded.push(row);
+            }
+            assert_eq!(folded.len(), s.num_measurements(), "{name}");
+        }
+        // Teleportation's coin records exercise the constant/coin columns.
+        let t = SymPhaseSampler::new(&teleportation());
+        assert!(t.random_measurement_records().iter().any(|&r| r));
+    }
+
+    #[test]
+    fn delta_nnz_grows_linearly_in_rounds() {
+        let short = SymPhaseSampler::new(&surface(3, 100));
+        let long = SymPhaseSampler::new(&surface(3, 200));
+        let ratio = |f: fn(&SymPhaseSampler) -> usize| f(&long) as f64 / f(&short) as f64;
+        let delta = ratio(|s| s.program().delta.count_ones());
+        let full = ratio(|s| s.measurement_matrix().count_ones());
+        assert!(delta < 2.2, "delta nnz grew {delta:.2}x for 2x rounds");
+        assert!(full > 3.5, "full nnz grew {full:.2}x for 2x rounds");
+    }
+
+    #[test]
+    fn auto_pick_holds_on_the_delta_program() {
+        assert_eq!(
+            SymPhaseSampler::new(&surface(3, 200)).resolved_method(),
+            SamplingMethod::Hybrid
+        );
+        // The paper's worked examples (Fig. 1, §3.1, a deterministic and a
+        // feedback circuit): the pick costed on the deltas equals the pick
+        // costed on the full rows.
+        let worked = [
+            "H 0\nCX 0 1\nCX 1 2\nCX 2 3\nZ_ERROR(0.1) 0\nX_ERROR(0.1) 1\n\
+             X_ERROR(0.1) 2\nX_ERROR(0.1) 3\nCX 2 3\nCX 1 2\nCX 0 1\nH 0\nM 0 1 2 3\n",
+            "H 0\nCX 0 1\nX_ERROR(0.5) 0\nX_ERROR(0.5) 1\nM 0\nM 1\n",
+            "X 0\nCX 0 1\nZ 1\nM 0 1\nM 1\n",
+            "H 0\nCX 0 1\nDEPOLARIZE1(0.1) 0 1\nX 1\nM 0 1\nR 0\nH 0\nM 0\n\
+             CX rec[-1] 1\nM 1\n",
+        ];
+        for text in worked {
+            let s = SymPhaseSampler::new(&Circuit::parse(text).expect("parses"));
+            let full_rows = resolve_auto_from_matrix(&s.table, s.measurement_matrix(), 0);
+            assert_eq!(s.resolved_method(), full_rows, "{text}");
+        }
+    }
+
+    #[test]
+    fn dem_builds_no_sampling_structure() {
+        let s = SymPhaseSampler::new(&surface(3, 5));
+        let _ = s.detector_error_model();
+        assert!(s.program.get().is_none());
+        assert!(s.meas_rows.get().is_none());
+        assert!(s.hybrid_index.get().is_none());
     }
 
     #[test]

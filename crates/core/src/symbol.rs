@@ -123,6 +123,73 @@ impl SymbolTable {
         &self.groups
     }
 
+    /// Enumerates the fault mechanisms of the noise model in allocation
+    /// order: each set of symbols that flips together, with its marginal
+    /// probability (an `ELSE_CORRELATED_ERROR` element's conditional
+    /// probability times the chance its chain has not fired yet). Coins
+    /// are not mechanisms.
+    pub(crate) fn for_each_mechanism(&self, mut f: impl FnMut(&[SymbolId], f64)) {
+        // Probability that the current correlated chain has not fired yet
+        // (chain elements are contiguous in allocation order).
+        let mut chain_none = 1.0f64;
+        for group in &self.groups {
+            match *group {
+                SymbolGroup::Coin { .. } => {}
+                SymbolGroup::Bernoulli { id, p } => f(&[id], p),
+                SymbolGroup::Depolarize1 { x_id, z_id, p } => {
+                    f(&[x_id], p / 3.0);
+                    f(&[x_id, z_id], p / 3.0);
+                    f(&[z_id], p / 3.0);
+                }
+                SymbolGroup::Depolarize2 { ids, p } => {
+                    for k in 1u32..16 {
+                        let subset: Vec<SymbolId> = ids
+                            .iter()
+                            .enumerate()
+                            .filter(|(j, _)| k & (1 << j) != 0)
+                            .map(|(_, &id)| id)
+                            .collect();
+                        f(&subset, p / 15.0);
+                    }
+                }
+                SymbolGroup::PauliChannel1 {
+                    x_id,
+                    z_id,
+                    px,
+                    py,
+                    pz,
+                } => {
+                    f(&[x_id], px);
+                    f(&[x_id, z_id], py);
+                    f(&[z_id], pz);
+                }
+                SymbolGroup::PauliChannel2 { ids, probs } => {
+                    for (m, &p) in probs.iter().enumerate() {
+                        let bits = symphase_circuit::pauli_channel_2_bits(m + 1);
+                        let subset: Vec<SymbolId> = ids
+                            .iter()
+                            .enumerate()
+                            .filter(|&(j, _)| bits[j])
+                            .map(|(_, &id)| id)
+                            .collect();
+                        f(&subset, p);
+                    }
+                }
+                SymbolGroup::Correlated { id, p, else_branch } => {
+                    // Marginal probability: conditional `p` scaled by the
+                    // chain not having fired yet.
+                    let marginal = if else_branch { chain_none * p } else { p };
+                    if else_branch {
+                        chain_none *= 1.0 - p;
+                    } else {
+                        chain_none = 1.0 - p;
+                    }
+                    f(&[id], marginal);
+                }
+            }
+        }
+    }
+
     /// Number of coin symbols (from random measurements).
     pub fn num_coins(&self) -> usize {
         self.groups

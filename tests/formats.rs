@@ -90,8 +90,51 @@ fn shape() -> impl Strategy<Value = (usize, usize, u64)> {
     )
 }
 
+/// The per-bit `b8` packing of detectors then observables: record `r` of
+/// the concatenation at bit `r % 8` of byte `r / 8` of its shot.
+fn scalar_b8(dets: &BitMatrix, obs: &BitMatrix) -> Vec<u8> {
+    let rows = dets.rows() + obs.rows();
+    let mut out = Vec::new();
+    for shot in 0..dets.cols() {
+        let mut bytes = vec![0u8; rows.div_ceil(8)];
+        let bits = (0..dets.rows())
+            .map(|r| dets.get(r, shot))
+            .chain((0..obs.rows()).map(|r| obs.get(r, shot)));
+        for (r, bit) in bits.enumerate() {
+            bytes[r / 8] |= u8::from(bit) << (r % 8);
+        }
+        out.extend(bytes);
+    }
+    out
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The transposed `b8` writer of detectors + observables is
+    /// byte-identical to per-bit packing, with the detector count on
+    /// every residue class that moves the observables' bit offset across
+    /// a byte or word boundary (≡ 0, 1, 7, 63 mod 64).
+    #[test]
+    fn b8_detectors_and_observables_match_scalar_packing(
+        words in 0usize..3,
+        residue in prop_oneof![Just(0usize), Just(1), Just(7), Just(63)],
+        obs_rows in 0usize..4,
+        shots in prop_oneof![Just(0usize), 1usize..200],
+        seed in any::<u64>(),
+    ) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let dets = random_matrix(64 * words + residue, shots, &mut rng);
+        let obs = random_matrix(obs_rows, shots, &mut rng);
+        let expected = scalar_b8(&dets, &obs);
+        let batch = SampleBatch {
+            measurements: BitMatrix::zeros(0, shots),
+            detectors: dets,
+            observables: obs,
+        };
+        let bytes = write_chunked(SampleFormat::B8, RecordSource::DetectorsAndObservables, &batch);
+        prop_assert_eq!(bytes, expected);
+    }
 
     #[test]
     fn plain01_round_trips(shape in shape()) {
