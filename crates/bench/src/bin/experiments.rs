@@ -33,8 +33,8 @@ use symphase::sampler_api::{sink, CountingSink};
 use symphase_bench::json::Json;
 use symphase_bench::perf::{self, PerfConfig};
 use symphase_bench::{
-    measure_fig3_point, measure_scale_point, secs, table1_circuit, EngineKind, SimConfig, Workload,
-    PAPER_SHOTS,
+    build, measure_fig3_point, measure_scale_point, secs, table1_circuit, EngineKind, SimConfig,
+    Workload, PAPER_SHOTS,
 };
 use symphase_bitmat::layout::{ChpLayout, StimLayout, SymLayout512, TableauLayout};
 use symphase_bitmat::simd::SimdLevel;
@@ -391,10 +391,8 @@ fn par_scaling(n: usize, shots: usize, strict: bool) {
     let mut slower_than_serial = Vec::new();
     for workload in [Workload::Fig3a, Workload::Fig3c] {
         let c = workload.circuit(n, 13);
-        for kind in [workload.symphase_backend(), EngineKind::Frame] {
-            let label = format!("{}/{}", workload.name(), kind.name());
-            let sampler =
-                build_sampler(&c, &SimConfig::new().with_engine(kind)).expect("engine builds");
+        for sampler in [workload.symphase_sampler(&c), build(EngineKind::Frame, &c)] {
+            let label = format!("{}/{}", workload.name(), sampler.name());
             let mut serial = None;
             for &threads in &budgets {
                 let cfg = SimConfig::new().with_seed(1).with_threads(threads);

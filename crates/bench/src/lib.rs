@@ -2,8 +2,9 @@
 //! harness that regenerates every table and figure of the paper.
 //!
 //! The Criterion benches (`benches/fig3a.rs`, …) and the `experiments`
-//! binary both build their circuits through this crate so that DESIGN.md's
-//! experiment index points at one set of definitions.
+//! binary both build their circuits through this crate so that the
+//! README's "Reproducing the paper's figures and tables" commands point at
+//! one set of definitions.
 
 pub mod json;
 pub mod perf;
@@ -61,13 +62,10 @@ impl Workload {
         }
     }
 
-    /// The SymPhase backend pinned to this workload's best representation.
-    pub fn symphase_backend(self) -> EngineKind {
-        match self.phase_repr() {
-            PhaseRepr::Sparse => EngineKind::SymPhaseSparse,
-            PhaseRepr::Dense => EngineKind::SymPhaseDense,
-            PhaseRepr::Auto => EngineKind::SymPhase,
-        }
+    /// A SymPhase sampler for `circuit`, pinned to this workload's best
+    /// representation.
+    pub fn symphase_sampler(self, circuit: &Circuit) -> Box<dyn Sampler> {
+        Box::new(SymPhaseSampler::with_repr(circuit, self.phase_repr()))
     }
 
     /// Display name.
@@ -84,7 +82,7 @@ impl Workload {
 /// measured through the shared `Sampler` trait.
 #[derive(Clone, Copy, Debug)]
 pub struct BackendTiming {
-    /// Backend label ([`EngineKind::name`]).
+    /// Backend label ([`Sampler::name`]).
     pub label: &'static str,
     /// Time to build the sampler (the engine's initialization).
     pub init: Duration,
@@ -94,14 +92,19 @@ pub struct BackendTiming {
 
 /// Builds `kind` for `circuit` through the configured factory, panicking
 /// on the (impossible-for-bench-workloads) construction failures.
-fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn Sampler> {
+pub fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn Sampler> {
     build_sampler(circuit, &SimConfig::new().with_engine(kind)).expect("bench backend builds")
 }
 
-/// Times `kind` on `circuit`: build, then draw `shots` from `seed`.
-pub fn time_backend(kind: EngineKind, circuit: &Circuit, shots: usize, seed: u64) -> BackendTiming {
+/// Times a sampler: `make` it (the engine's initialization), then draw
+/// `shots` from `seed`.
+pub fn time_backend(
+    make: impl FnOnce() -> Box<dyn Sampler>,
+    shots: usize,
+    seed: u64,
+) -> BackendTiming {
     let t = Instant::now();
-    let sampler = build(kind, circuit);
+    let sampler = make();
     let init = t.elapsed();
     let mut rng = StdRng::seed_from_u64(seed);
     let t = Instant::now();
@@ -109,21 +112,15 @@ pub fn time_backend(kind: EngineKind, circuit: &Circuit, shots: usize, seed: u64
     let sample = t.elapsed();
     std::hint::black_box(batch.measurements.count_ones());
     BackendTiming {
-        label: kind.name(),
+        label: sampler.name(),
         init,
         sample,
     }
 }
 
-/// Times `kind`'s parallel chunk-seeded sampling path
+/// Times `sampler`'s parallel chunk-seeded sampling path
 /// (`Sampler::sample_par`) against the serial schedule.
-pub fn time_backend_par(
-    kind: EngineKind,
-    circuit: &Circuit,
-    shots: usize,
-    seed: u64,
-) -> (Duration, Duration) {
-    let sampler = build(kind, circuit);
+pub fn time_backend_par(sampler: &dyn Sampler, shots: usize, seed: u64) -> (Duration, Duration) {
     let t = Instant::now();
     let serial = sampler.sample_seeded(shots, seed);
     let serial_time = t.elapsed();
@@ -137,17 +134,11 @@ pub fn time_backend_par(
     (serial_time, par_time)
 }
 
-/// Times `kind`'s streaming path (`Sampler::sample_to` into a
+/// Times `sampler`'s streaming path (`Sampler::sample_to` into a
 /// [`CountingSink`]) — the O(chunk)-memory delivery the CLI runs —
 /// returning the wall time. The delivered shot count is asserted equal
 /// to the request internally.
-pub fn time_backend_stream(
-    kind: EngineKind,
-    circuit: &Circuit,
-    shots: usize,
-    seed: u64,
-) -> Duration {
-    let sampler = build(kind, circuit);
+pub fn time_backend_stream(sampler: &dyn Sampler, shots: usize, seed: u64) -> Duration {
     let mut sink = CountingSink::default();
     let t = Instant::now();
     sampler
@@ -178,8 +169,8 @@ pub struct FigPoint {
 /// shared [`Sampler`] trait).
 pub fn measure_fig3_point(workload: Workload, n: usize, shots: usize) -> FigPoint {
     let circuit = workload.circuit(n, 0xF16_3000 + n as u64);
-    let sym = time_backend(workload.symphase_backend(), &circuit, shots, 1);
-    let frame = time_backend(EngineKind::Frame, &circuit, shots, 2);
+    let sym = time_backend(|| workload.symphase_sampler(&circuit), shots, 1);
+    let frame = time_backend(|| build(EngineKind::Frame, &circuit), shots, 2);
     FigPoint {
         n,
         symphase_init: sym.init,
@@ -419,14 +410,14 @@ mod tests {
     #[test]
     fn all_backend_choices_sample_through_the_trait() {
         let c = Workload::Fig3a.circuit(8, 2);
-        for kind in [
-            EngineKind::SymPhaseSparse,
-            EngineKind::SymPhaseDense,
-            EngineKind::Frame,
-            EngineKind::Tableau,
-        ] {
-            let t = time_backend(kind, &c, 64, 3);
+        for kind in [EngineKind::SymPhase, EngineKind::Frame, EngineKind::Tableau] {
+            let t = time_backend(|| build(kind, &c), 64, 3);
             assert_eq!(t.label, kind.name());
+        }
+        // Both phase stores, pinned.
+        for repr in [PhaseRepr::Sparse, PhaseRepr::Dense] {
+            let t = time_backend(|| Box::new(SymPhaseSampler::with_repr(&c, repr)), 64, 3);
+            assert_eq!(t.label, "symphase");
         }
     }
 
@@ -434,7 +425,7 @@ mod tests {
     fn streaming_path_delivers_every_shot() {
         let c = Workload::Fig3a.circuit(8, 2);
         // Asserts delivered == requested internally.
-        let _ = time_backend_stream(EngineKind::SymPhaseSparse, &c, 10_000, 5);
+        let _ = time_backend_stream(Workload::Fig3a.symphase_sampler(&c).as_ref(), 10_000, 5);
     }
 
     /// Nightly-free smoke bench: exercises the full sampling ablation
@@ -456,7 +447,7 @@ mod tests {
     fn par_path_verified_against_serial() {
         let c = Workload::Fig3a.circuit(8, 2);
         // time_backend_par asserts shot-for-shot equality internally.
-        let _ = time_backend_par(EngineKind::SymPhaseSparse, &c, 10_000, 5);
-        let _ = time_backend_par(EngineKind::Frame, &c, 10_000, 5);
+        let _ = time_backend_par(Workload::Fig3a.symphase_sampler(&c).as_ref(), 10_000, 5);
+        let _ = time_backend_par(build(EngineKind::Frame, &c).as_ref(), 10_000, 5);
     }
 }

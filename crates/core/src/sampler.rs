@@ -56,9 +56,6 @@ use crate::symbol::{SymbolGroup, SymbolTable};
 /// ```
 #[derive(Debug)]
 pub struct SymPhaseSampler {
-    /// The representation the caller asked for (`Auto` when unpinned);
-    /// reported through `Sampler::name`.
-    requested_repr: PhaseRepr,
     /// The sampling method the `Sampler` trait entry points use (`Auto`
     /// when unpinned).
     method: SamplingMethod,
@@ -247,15 +244,10 @@ impl SymPhaseSampler {
             PhaseRepr::Sparse => initialize::<SparsePhases>(circuit),
             PhaseRepr::Dense | PhaseRepr::Auto => initialize::<DensePhases>(circuit),
         };
-        Self::from_init(circuit, init, repr, method)
+        Self::from_init(circuit, init, method)
     }
 
-    fn from_init(
-        circuit: &Circuit,
-        init: InitResult,
-        requested_repr: PhaseRepr,
-        method: SamplingMethod,
-    ) -> Self {
+    fn from_init(circuit: &Circuit, init: InitResult, method: SamplingMethod) -> Self {
         let cols = init.table.assignment_len();
         let build_derived = |sets: Vec<Vec<usize>>| {
             let mut rows = SparseRowMatrix::new(cols);
@@ -271,7 +263,6 @@ impl SymPhaseSampler {
         let det_rows = build_derived(detector_measurement_sets(circuit));
         let obs_rows = build_derived(observable_measurement_sets(circuit));
         Self {
-            requested_repr,
             method,
             table: init.table,
             measurement_exprs: init.measurements,
@@ -284,12 +275,6 @@ impl SymPhaseSampler {
             dense: Default::default(),
             hybrid_index: OnceLock::new(),
         }
-    }
-
-    /// The phase representation this sampler was requested with
-    /// (`Auto` when the per-circuit heuristic chose).
-    pub fn requested_repr(&self) -> PhaseRepr {
-        self.requested_repr
     }
 
     /// The sampling method this sampler was requested with (`Auto` when
@@ -522,11 +507,7 @@ impl SymPhaseSampler {
 
 impl Sampler for SymPhaseSampler {
     fn name(&self) -> &'static str {
-        match self.requested_repr {
-            PhaseRepr::Auto => "symphase",
-            PhaseRepr::Sparse => "symphase-sparse",
-            PhaseRepr::Dense => "symphase-dense",
-        }
+        "symphase"
     }
 
     fn num_measurements(&self) -> usize {

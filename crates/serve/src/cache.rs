@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use symphase_backend::{EngineKind, Sampler};
 use symphase_circuit::Circuit;
@@ -80,7 +80,15 @@ impl CircuitCache {
 
     /// Circuits currently cached.
     pub fn entries(&self) -> u64 {
-        self.inner.lock().expect("cache lock").map.len() as u64
+        self.lock().map.len() as u64
+    }
+
+    /// The cache lock, recovered if a `build` closure panicked while
+    /// holding it: the map is only mutated after `build` returns, so a
+    /// poisoned lock still guards a consistent map, and one panicking
+    /// build must not take every later request down with it.
+    fn lock(&self) -> MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// The sampler for `(hash, engine)`, building and caching it on miss.
@@ -106,7 +114,7 @@ impl CircuitCache {
             .iter()
             .position(|k| *k == engine)
             .expect("EngineKind::ALL is complete");
-        let mut inner = self.inner.lock().expect("cache lock");
+        let mut inner = self.lock();
         inner.clock += 1;
         let clock = inner.clock;
         if let Some(entry) = inner.map.get_mut(&hash) {
@@ -254,5 +262,28 @@ mod tests {
             .get_or_build(ha, None, EngineKind::Frame, build_ok)
             .expect("a cached");
         assert!(hit, "A must have survived eviction");
+    }
+
+    #[test]
+    fn a_panicking_build_does_not_poison_the_cache() {
+        let cache = CircuitCache::new(4);
+        let (ha, ca) = circ("H 0\nM 0\n");
+        let panicked = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let _ = cache.get_or_build::<String>(ha, Some(ca), EngineKind::Frame, |_| {
+                panic!("engine panicked")
+            });
+        }));
+        assert!(panicked.is_err());
+        assert_eq!(cache.entries(), 0);
+        let (hb, cb) = circ("H 1\nM 1\n");
+        let (_, hit) = cache
+            .get_or_build(hb, Some(cb), EngineKind::Frame, build_ok)
+            .expect("build after a panic");
+        assert!(!hit);
+        let (_, hit) = cache
+            .get_or_build(hb, None, EngineKind::Frame, build_ok)
+            .expect("hit after a panic");
+        assert!(hit);
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (1, 1, 1));
     }
 }

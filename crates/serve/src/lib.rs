@@ -13,8 +13,8 @@
 //!   sample requests (by text or hash, with engine/source/format/seed and
 //!   a shot range), streamed data frames reusing the `formats` sinks
 //!   byte-for-byte, typed error frames, and a stats frame;
-//! * [`cache`] — the LRU circuit cache: parse + build (+ optional
-//!   optimize/lint) happen once per (circuit, engine); later requests
+//! * [`cache`] — the LRU circuit cache: parse + build (+ the optional
+//!   lint gate) happen once per (circuit, engine); later requests
 //!   reuse the initialized `Arc<dyn Sampler>`;
 //! * [`queue`] — the bounded request queue whose overflow becomes a
 //!   `BUSY` frame (backpressure is explicit, not silent latency);

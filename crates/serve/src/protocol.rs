@@ -11,7 +11,7 @@
 //! magic      [4]  b"SPH1"
 //! kind       u8   1 = sample by circuit text, 2 = sample by hash, 3 = stats
 //! -- kinds 1 and 2 only --
-//! engine     u8   index into EngineKind::ALL
+//! engine     u8   0 = symphase, 3 = frame, 4 = tableau, 5 = statevec
 //! source     u8   0 = M, 1 = D, 2 = L, 3 = D+L        (RecordSource)
 //! format     u8   index into SampleFormat::ALL (counts is rejected)
 //! seed       u64
@@ -260,11 +260,18 @@ const SOURCES: [RecordSource; 4] = [
     RecordSource::DetectorsAndObservables,
 ];
 
+/// The engine's wire byte. Codes are fixed per engine, not positions in
+/// `EngineKind::ALL`, so that removing an engine never renumbers the
+/// others. Codes 1 and 2 named engines that no longer exist; they stay
+/// unassigned so an older client sending them gets a malformed-request
+/// error, not a different engine.
 fn engine_code(engine: EngineKind) -> u8 {
-    EngineKind::ALL
-        .iter()
-        .position(|k| *k == engine)
-        .expect("EngineKind::ALL is complete") as u8
+    match engine {
+        EngineKind::SymPhase => 0,
+        EngineKind::Frame => 3,
+        EngineKind::Tableau => 4,
+        EngineKind::StateVec => 5,
+    }
 }
 
 fn source_code(source: RecordSource) -> u8 {
@@ -327,8 +334,9 @@ pub fn read_request(r: &mut dyn Read) -> Result<Request, WireError> {
         return Err(malformed(format!("unknown request kind {kind}")));
     }
     let engine_b = read_u8(r)?;
-    let engine = *EngineKind::ALL
-        .get(engine_b as usize)
+    let engine = EngineKind::ALL
+        .into_iter()
+        .find(|&k| engine_code(k) == engine_b)
         .ok_or_else(|| malformed(format!("unknown engine code {engine_b}")))?;
     let source_b = read_u8(r)?;
     let source = *SOURCES
@@ -624,6 +632,27 @@ mod tests {
             let got = read_request(&mut wire.as_slice()).expect("decode");
             assert_eq!(got, req);
         }
+        // Engine bytes are a wire contract: each engine keeps its code.
+        for (engine, code) in [
+            (EngineKind::SymPhase, 0u8),
+            (EngineKind::Frame, 3),
+            (EngineKind::Tableau, 4),
+            (EngineKind::StateVec, 5),
+        ] {
+            let req = Request::Sample(SampleRequest {
+                circuit: CircuitRef::Text("M 0\n".into()),
+                engine,
+                source: RecordSource::Measurements,
+                format: SampleFormat::Plain01,
+                seed: 1,
+                start: 0,
+                end: 2,
+            });
+            let mut wire = Vec::new();
+            write_request(&mut wire, &req).expect("encode");
+            assert_eq!(wire[5], code, "{}", engine.name());
+            assert_eq!(read_request(&mut wire.as_slice()).expect("decode"), req);
+        }
     }
 
     #[test]
@@ -631,14 +660,19 @@ mod tests {
         // Bad magic.
         let e = read_request(&mut &b"NOPE\x03"[..]).unwrap_err();
         assert!(matches!(e, WireError::Malformed(_)), "{e}");
-        // Unknown engine code.
-        let mut wire = Vec::new();
-        wire.extend_from_slice(&MAGIC);
-        wire.extend_from_slice(&[1, 200, 0, 0]);
-        wire.extend_from_slice(&[0; 24]); // seed/start/end
-        wire.extend_from_slice(&0u32.to_le_bytes());
-        let e = read_request(&mut wire.as_slice()).unwrap_err();
-        assert!(matches!(e, WireError::Malformed(_)), "{e}");
+        // Unknown engine codes, including the unassigned 1 and 2.
+        for code in [1u8, 2, 6, 200] {
+            let mut wire = Vec::new();
+            wire.extend_from_slice(&MAGIC);
+            wire.extend_from_slice(&[1, code, 0, 0]);
+            wire.extend_from_slice(&[0; 24]); // seed/start/end
+            wire.extend_from_slice(&0u32.to_le_bytes());
+            let e = read_request(&mut wire.as_slice()).unwrap_err();
+            assert!(
+                matches!(&e, WireError::Malformed(m) if m.contains("unknown engine code")),
+                "{e}"
+            );
+        }
         // Truncated stream is Io, not Malformed.
         let e = read_request(&mut &MAGIC[..]).unwrap_err();
         assert!(matches!(e, WireError::Io(_)), "{e}");

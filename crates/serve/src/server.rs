@@ -66,8 +66,6 @@ pub struct ServeOptions {
     pub threads: usize,
     /// Chunk width in shots; range starts must be multiples of this.
     pub chunk_shots: usize,
-    /// Run the verified optimizer once per circuit before caching.
-    pub optimize: bool,
     /// Per-connection read timeout (a stalled client frees its worker).
     pub read_timeout: Option<Duration>,
 }
@@ -80,7 +78,6 @@ impl Default for ServeOptions {
             cache_capacity: 64,
             threads: 0,
             chunk_shots: CHUNK_SHOTS,
-            optimize: false,
             read_timeout: Some(Duration::from_secs(30)),
         }
     }
@@ -345,8 +342,7 @@ fn serve_sample<W: Write>(shared: &Shared, out: &mut W, req: &SampleRequest) -> 
         .with_engine(req.engine)
         .with_seed(req.seed)
         .with_threads(shared.options.threads)
-        .with_chunk_shots(chunk_shots)
-        .with_optimize(shared.options.optimize);
+        .with_chunk_shots(chunk_shots);
     let (sampler, cache_hit) = shared
         .cache
         .get_or_build(hash, parsed, req.engine, |circuit| {

@@ -26,90 +26,30 @@ use symphase_tableau::TableauSampler;
 
 pub use symphase_backend::{BuildError, EngineKind, PhaseRepr, SamplingMethod, SimConfig};
 
-/// The pre-`SimConfig` name of [`EngineKind`], kept so older call sites
-/// keep compiling.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `EngineKind` and `build_sampler(&circuit, &SimConfig)` — the old \
-            constructor path panicked instead of reporting `BuildError`s"
-)]
-pub type BackendKind = EngineKind;
-
 /// Builds the configured engine for `circuit` — **the** sampler
 /// constructor.
 ///
 /// Validates the configuration ([`SimConfig::validate`]) and the
 /// circuit/engine pairing (the state-vector qubit cap), then runs the
-/// engine's initialization: a symbolic traversal for the SymPhase
-/// variants, a reference tableau sample for the frame baseline, a circuit
-/// copy for the per-shot engines. Every failure mode is a typed
-/// [`BuildError`] — this function does not panic.
+/// engine's initialization: a symbolic traversal for `symphase` (in the
+/// phase store [`PhaseRepr::Auto`] picks), a reference tableau sample for
+/// the frame baseline, a circuit copy for the per-shot engines. Every
+/// failure mode is a typed [`BuildError`] — this function does not panic.
 pub fn build_sampler(
     circuit: &Circuit,
     config: &SimConfig,
 ) -> Result<Box<dyn Sampler>, BuildError> {
     config.validate()?;
-    // With `optimize` set, the engine is built from the optimizer's
-    // verified output circuit — by construction bit-identical per seed
-    // to sampling that output directly (`tests/opt.rs` pins this).
-    let optimized;
-    let circuit = if config.optimize() {
-        optimized = symphase_analysis::optimize(circuit).circuit;
-        &optimized
-    } else {
-        circuit
-    };
     Ok(match config.engine() {
-        EngineKind::SymPhase | EngineKind::SymPhaseSparse | EngineKind::SymPhaseDense => Box::new(
-            SymPhaseSampler::with_config(circuit, config.effective_phase_repr(), config.sampling()),
-        ),
+        EngineKind::SymPhase => Box::new(SymPhaseSampler::with_config(
+            circuit,
+            PhaseRepr::Auto,
+            config.sampling(),
+        )),
         EngineKind::Frame => Box::new(FrameSampler::new(circuit)),
         EngineKind::Tableau => Box::new(TableauSampler::new(circuit)),
         EngineKind::StateVec => Box::new(StateVecSampler::try_new(circuit)?),
     })
-}
-
-/// The old panicking constructor path: builds `kind` for `circuit` with
-/// every knob at its default.
-///
-/// # Panics
-///
-/// Panics on any condition [`build_sampler`] would report as a
-/// [`BuildError`] (e.g. a circuit past the state-vector qubit cap).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `build_sampler(&circuit, &SimConfig::new().with_engine(kind))`"
-)]
-pub fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn Sampler> {
-    match build_sampler(circuit, &SimConfig::new().with_engine(kind)) {
-        Ok(s) => s,
-        Err(e) => panic!("{e}"),
-    }
-}
-
-/// The old panicking constructor path with an explicit sampling method.
-///
-/// # Panics
-///
-/// Panics on any condition [`build_sampler`] would report as a
-/// [`BuildError`] (e.g. a sampling method on a non-SymPhase engine).
-#[deprecated(
-    since = "0.1.0",
-    note = "use `build_sampler(&circuit, &SimConfig::new().with_engine(kind)\
-            .with_sampling(method))`"
-)]
-pub fn build_with_sampling(
-    kind: EngineKind,
-    circuit: &Circuit,
-    method: SamplingMethod,
-) -> Box<dyn Sampler> {
-    match build_sampler(
-        circuit,
-        &SimConfig::new().with_engine(kind).with_sampling(method),
-    ) {
-        Ok(s) => s,
-        Err(e) => panic!("{e}"),
-    }
 }
 
 #[cfg(test)]
@@ -117,14 +57,6 @@ mod tests {
     use super::*;
     use symphase_circuit::generators::ghz;
     use symphase_statevec::MAX_QUBITS;
-
-    #[test]
-    fn names_round_trip() {
-        for kind in EngineKind::ALL {
-            assert_eq!(EngineKind::from_name(kind.name()), Some(kind));
-        }
-        assert_eq!(EngineKind::from_name("bogus"), None);
-    }
 
     #[test]
     fn factory_and_sampler_names_agree() {
@@ -186,26 +118,5 @@ mod tests {
             build_sampler(&c, &cfg).err().expect("must fail"),
             BuildError::SamplingMethodUnsupported { .. }
         ));
-    }
-
-    #[test]
-    fn phase_repr_flows_through_the_config() {
-        let c = ghz(2);
-        let cfg = SimConfig::new().with_phase_repr(PhaseRepr::Dense);
-        // `symphase` honoring a pinned store reports the pinned name.
-        let s = build_sampler(&c, &cfg).expect("builds");
-        assert_eq!(s.name(), "symphase-dense");
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_constructor_path_still_works() {
-        let c = ghz(2);
-        let s = build(EngineKind::Frame, &c);
-        assert_eq!(s.name(), "frame");
-        let s = build_with_sampling(EngineKind::SymPhase, &c, SamplingMethod::SparseRows);
-        assert_eq!(s.name(), "symphase");
-        let kind: BackendKind = EngineKind::Tableau;
-        assert_eq!(kind.name(), "tableau");
     }
 }

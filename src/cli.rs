@@ -112,7 +112,7 @@ commands:
   hash       print the canonical content hash of a circuit file (the
              serve cache key; whitespace/comment-equivalent files match)
   serve      run the sampling daemon (--addr, --workers, --max-queue,
-             --cache-size, --threads, --optimize, --lint) — docs/serve.md
+             --cache-size, --threads, --lint) — docs/serve.md
   request    query a running daemon (--addr, -c|--hash, --shots|--range,
              --seed, --engine, --source, --format, --out, --stats)
 
@@ -139,9 +139,9 @@ options:
       --out <path>       stream sample output to a file instead of stdout
       --obs-out <path>   detect: stream observables to their own file (the main
                          output then carries detectors only)
-      --engine <e>       backend: symphase (default), symphase-sparse,
-                         symphase-dense, frame, tableau, or statevec
-      --sampling <s>     M·B strategy for symphase engines: auto (default),
+      --engine <e>       backend: symphase (default), frame, tableau, or
+                         statevec
+      --sampling <s>     M·B strategy for the symphase engine: auto (default),
                          hybrid, sparse, or dense (blocked kernel); all
                          strategies sample identical bits for equal seeds
       --par              sample across all cores (chunks stream in order)
@@ -159,8 +159,6 @@ options:
       --max-queue <n>    serve: queued connections before BUSY (default 32)
       --cache-size <n>   serve: circuits kept initialized in the LRU cache
                          (default 64)
-      --optimize         serve: run the verified optimizer once per circuit
-                         before caching its sampler
       --lint             serve: reject circuits with lint findings (typed
                          Lint error frame carries the diagnostics)
       --hash <hex>       request: name the circuit by content hash instead of
@@ -210,7 +208,6 @@ struct Options {
     workers: Option<usize>,
     max_queue: Option<usize>,
     cache_size: Option<usize>,
-    optimize: bool,
     lint_gate: bool,
     hash: Option<String>,
     range: Option<String>,
@@ -340,7 +337,6 @@ fn parse_args(args: &[String]) -> Result<Options, CliError> {
                         .map_err(|_| fail("--cache-size must be an integer"))?,
                 );
             }
-            "--optimize" => opts.optimize = true,
             "--lint" => opts.lint_gate = true,
             "--hash" => opts.hash = Some(value("--hash")?),
             "--range" => opts.range = Some(value("--range")?),
@@ -1272,7 +1268,6 @@ fn cmd_serve(opts: &Options, out: &mut dyn Write) -> Result<(), CliError> {
         options.cache_capacity = c;
     }
     options.threads = opts.threads.unwrap_or(0);
-    options.optimize = opts.optimize;
     let factory: symphase_serve::SamplerFactory = std::sync::Arc::new(build_sampler);
     let lint: Option<symphase_serve::LintGate> = opts.lint_gate.then(|| {
         std::sync::Arc::new(|circuit: &Circuit| {

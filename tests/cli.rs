@@ -340,6 +340,30 @@ fn usage_and_runtime_errors_have_distinct_exit_codes() {
         let e = run(&args(&bad)).unwrap_err();
         assert_eq!(e.code, 2, "{bad:?}: {}", e.message);
     }
+    // Retired surface: pinned-store engine names and `serve --optimize`
+    // are usage errors too, and the engine error lists what remains.
+    let e = run(&args(&[
+        "sample",
+        "-c",
+        "/nonexistent/x.stim",
+        "--engine",
+        "symphase-dense",
+    ]))
+    .unwrap_err();
+    assert_eq!(e.code, 2, "{}", e.message);
+    assert!(
+        e.message
+            .contains("expected one of: symphase, frame, tableau, statevec)"),
+        "{}",
+        e.message
+    );
+    let e = run(&args(&["serve", "--addr", "127.0.0.1:0", "--optimize"])).unwrap_err();
+    assert_eq!(e.code, 2, "{}", e.message);
+    assert!(
+        e.message.contains("unknown option '--optimize'"),
+        "{}",
+        e.message
+    );
     // Runtime errors (well-formed invocation, bad inputs): exit code 1.
     let unparsable = write_circuit("FROB 0\n");
     for bad in [

@@ -19,8 +19,8 @@ use symphase::backend::{build_sampler, EngineKind, SimConfig};
 use symphase::bitmat::BitVec;
 use symphase::circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
 use symphase::circuit::{Circuit, Gate, NoiseChannel, PauliKind};
-use symphase::core::SymPhaseSampler;
-use symphase::sampler_api::SampleBatch;
+use symphase::core::{PhaseRepr, SymPhaseSampler};
+use symphase::sampler_api::{SampleBatch, Sampler};
 use symphase::tableau::reference_sample;
 
 /// A compact description of one random circuit.
@@ -402,18 +402,25 @@ fn matrix_circuits() -> Vec<(&'static str, Circuit)> {
 
 /// The backend matrix of the acceptance criteria: SymPhase in both phase
 /// representations, the frame baseline, the tableau reference, and the
-/// dense ground truth.
-const MATRIX: [EngineKind; 5] = [
-    EngineKind::SymPhaseSparse,
-    EngineKind::SymPhaseDense,
-    EngineKind::Frame,
-    EngineKind::Tableau,
-    EngineKind::StateVec,
-];
-
-/// Builds one matrix backend through the configured factory.
-fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn symphase::sampler_api::Sampler> {
-    build_sampler(circuit, &SimConfig::new().with_engine(kind)).expect("matrix backend builds")
+/// dense ground truth. The factory picks the phase store per circuit, so
+/// the pinned stores are built directly.
+fn matrix(circuit: &Circuit) -> Vec<(&'static str, Box<dyn Sampler>)> {
+    let mut backends: Vec<(&'static str, Box<dyn Sampler>)> = vec![
+        (
+            "symphase/sparse",
+            Box::new(SymPhaseSampler::with_repr(circuit, PhaseRepr::Sparse)),
+        ),
+        (
+            "symphase/dense",
+            Box::new(SymPhaseSampler::with_repr(circuit, PhaseRepr::Dense)),
+        ),
+    ];
+    for kind in [EngineKind::Frame, EngineKind::Tableau, EngineKind::StateVec] {
+        let sampler = build_sampler(circuit, &SimConfig::new().with_engine(kind))
+            .expect("matrix backend builds");
+        backends.push((kind.name(), sampler));
+    }
+    backends
 }
 
 /// Rate of set bits in row `r`.
@@ -448,12 +455,9 @@ fn assert_rates_close(what: &str, p1: f64, p2: f64, shots: usize) {
 fn cross_backend_measurement_distributions_agree() {
     let shots = 20_000;
     for (name, circuit) in matrix_circuits() {
-        let batches: Vec<(&str, SampleBatch)> = MATRIX
-            .iter()
-            .map(|kind| {
-                let sampler = build(*kind, &circuit);
-                (kind.name(), sampler.sample_seeded(shots, 0xC0FFEE))
-            })
+        let batches: Vec<(&str, SampleBatch)> = matrix(&circuit)
+            .into_iter()
+            .map(|(name, sampler)| (name, sampler.sample_seeded(shots, 0xC0FFEE)))
             .collect();
         let (ref_name, reference) = &batches[0];
         let nm = reference.measurements.rows();
@@ -484,12 +488,9 @@ fn cross_backend_measurement_distributions_agree() {
 fn cross_backend_detector_rates_agree() {
     let shots = 20_000;
     let (_, circuit) = &matrix_circuits()[1]; // repetition code: has detectors
-    let batches: Vec<(&str, SampleBatch)> = MATRIX
-        .iter()
-        .map(|kind| {
-            let sampler = build(*kind, circuit);
-            (kind.name(), sampler.sample_seeded(shots, 0xDE7EC7))
-        })
+    let batches: Vec<(&str, SampleBatch)> = matrix(circuit)
+        .into_iter()
+        .map(|(name, sampler)| (name, sampler.sample_seeded(shots, 0xDE7EC7)))
         .collect();
     let (ref_name, reference) = &batches[0];
     let nd = reference.detectors.rows();
@@ -526,8 +527,7 @@ fn cross_backend_detector_rates_agree() {
 #[test]
 fn sample_into_overwrites_reused_batches() {
     let (_, circuit) = &matrix_circuits()[1];
-    for kind in MATRIX {
-        let sampler = build(kind, circuit);
+    for (name, sampler) in matrix(circuit) {
         let mut reused = symphase::sampler_api::SampleBatch::zeros(
             sampler.num_measurements(),
             sampler.num_detectors(),
@@ -549,7 +549,7 @@ fn sample_into_overwrites_reused_batches() {
             &mut rng2,
         );
         let fresh = sampler.sample(500, &mut rng2);
-        assert_eq!(reused, fresh, "{} mixed draws on batch reuse", kind.name());
+        assert_eq!(reused, fresh, "{name} mixed draws on batch reuse");
     }
 }
 
@@ -560,15 +560,12 @@ fn sample_into_overwrites_reused_batches() {
 fn sample_par_matches_sample_seeded_on_every_backend() {
     let shots = symphase::sampler_api::CHUNK_SHOTS + 123;
     for (name, circuit) in matrix_circuits() {
-        for kind in MATRIX {
-            let sampler = build(kind, &circuit);
+        for (backend, sampler) in matrix(&circuit) {
             let serial = sampler.sample_seeded(shots, 42);
             let par = sampler.sample_par(shots, 42);
             assert_eq!(
-                serial,
-                par,
-                "{name}/{} diverged under parallel sampling",
-                kind.name()
+                serial, par,
+                "{name}/{backend} diverged under parallel sampling"
             );
         }
     }

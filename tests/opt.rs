@@ -1,12 +1,8 @@
-//! Integration pins for the verified rewrite driver `analysis::optimize`
-//! and its `SimConfig::optimize` factory knob.
+//! Integration pins for the verified rewrite driver `analysis::optimize`.
 //!
 //! * **Idempotence**: `optimize ∘ optimize == optimize` on random
 //!   circuits (the fixpoint driver must converge, and its output must
 //!   offer the passes nothing further).
-//! * **Factory bit-identity**: `build_sampler` with `optimize: true`
-//!   samples bit-identically per seed to building the same engine from
-//!   the optimizer's output circuit directly.
 //! * **Rollback**: a deliberately unsound rule is caught by translation
 //!   validation, rolled back, and surfaced as `SP100`.
 //! * **Scale**: a million-round `REPEAT` memory circuit optimizes in
@@ -23,7 +19,6 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use symphase::analysis::{optimize, optimize_with, OptConfig, Pass, ProofStatus};
-use symphase::backend::{build_sampler, EngineKind, SimConfig};
 use symphase::bitmat::BitVec;
 use symphase::circuit::generators::{repetition_code_memory, RepetitionCodeConfig};
 use symphase::circuit::{Circuit, Gate, NoiseChannel};
@@ -143,34 +138,6 @@ proptest! {
         );
         prop_assert!(r2.flipped_records.is_empty(), "second run flipped records");
         prop_assert!(!r2.changed(), "second run applied rewrites");
-    }
-}
-
-/// The `SimConfig::optimize` acceptance criterion: per seed, the knob is
-/// bit-identical to sampling the optimizer's output circuit directly, on
-/// every engine.
-#[test]
-fn factory_optimize_knob_is_bit_identical_to_preoptimizing() {
-    let texts = [
-        "H 0\nH 0\nX 1\nX_ERROR(0.2) 0\nCX 0 1\nM 0 1\nDETECTOR rec[-2]\nS 1\n",
-        "R 0 1 2\nX 0\nCX 0 1\nZ_ERROR(0.3) 2\nH 2\nM 0 1 2\nOBSERVABLE_INCLUDE(0) rec[-1]\n",
-    ];
-    for text in texts {
-        let c = Circuit::parse(text).expect("parse");
-        let r = optimize(&c);
-        assert!(r.changed(), "workload not redundant:\n{text}");
-        for kind in EngineKind::ALL {
-            let knob = build_sampler(&c, &SimConfig::new().with_engine(kind).with_optimize(true))
-                .expect("builds with optimize");
-            let direct =
-                build_sampler(&r.circuit, &SimConfig::new().with_engine(kind)).expect("builds");
-            assert_eq!(
-                knob.sample_seeded(128, 0xFEED),
-                direct.sample_seeded(128, 0xFEED),
-                "{} diverged from pre-optimized build on:\n{text}",
-                kind.name()
-            );
-        }
     }
 }
 

@@ -1,7 +1,7 @@
 //! The streaming-equality suite: the acceptance contract of the
 //! `ShotSink` sampling API.
 //!
-//! For **every** engine:
+//! For **every** engine, and for SymPhase with each phase store pinned:
 //!
 //! * `sample_to` into a collecting sink equals `sample_seeded`
 //!   bit-for-bit (the batch API *is* the streaming API plus an in-memory
@@ -32,26 +32,33 @@ fn small_circuit() -> Circuit {
     })
 }
 
-/// A deeper workload for the fast engines: enough shots to cross several
-/// chunk boundaries without making the per-shot engines crawl.
-fn fast_engines() -> Vec<EngineKind> {
-    vec![
-        EngineKind::SymPhase,
-        EngineKind::SymPhaseSparse,
-        EngineKind::SymPhaseDense,
-        EngineKind::Frame,
-    ]
-}
+/// The engines fast enough for a deeper workload: enough shots to cross
+/// several chunk boundaries without making the per-shot engines crawl.
+const FAST_ENGINES: [EngineKind; 2] = [EngineKind::SymPhase, EngineKind::Frame];
 
 fn build(kind: EngineKind, circuit: &Circuit) -> Box<dyn Sampler> {
     build_sampler(circuit, &SimConfig::new().with_engine(kind)).expect("engine builds")
 }
 
+/// `engines` built through the factory, then SymPhase with each phase
+/// store pinned. The factory picks the store per circuit, so the pinned
+/// stores are built directly.
+fn backends(engines: &[EngineKind], circuit: &Circuit) -> Vec<(String, Box<dyn Sampler>)> {
+    let mut out: Vec<(String, Box<dyn Sampler>)> = engines
+        .iter()
+        .map(|&kind| (kind.name().to_string(), build(kind, circuit)))
+        .collect();
+    for repr in [PhaseRepr::Sparse, PhaseRepr::Dense] {
+        let sampler = Box::new(SymPhaseSampler::with_repr(circuit, repr));
+        out.push((format!("symphase/{}", repr.name()), sampler));
+    }
+    out
+}
+
 #[test]
 fn collecting_sink_equals_sample_seeded_on_every_engine() {
     let circuit = small_circuit();
-    for kind in EngineKind::ALL {
-        let sampler = build(kind, &circuit);
+    for (name, sampler) in backends(&EngineKind::ALL, &circuit) {
         for shots in [0usize, 1, 63, 64, 65, 257] {
             let batch = sampler.sample_seeded(shots, 0xABCD);
             let mut sink = CollectSink::new();
@@ -60,7 +67,7 @@ fn collecting_sink_equals_sample_seeded_on_every_engine() {
                 sink.into_batch(),
                 batch,
                 "{} diverged at {shots} shots",
-                kind.name()
+                name
             );
         }
     }
@@ -69,8 +76,7 @@ fn collecting_sink_equals_sample_seeded_on_every_engine() {
 #[test]
 fn parallel_stream_equals_serial_on_every_engine() {
     let circuit = small_circuit();
-    for kind in EngineKind::ALL {
-        let sampler = build(kind, &circuit);
+    for (name, sampler) in backends(&EngineKind::ALL, &circuit) {
         let shots = 200;
         let serial = sampler.sample_seeded(shots, 7);
         for threads in [2, 3, 8] {
@@ -80,7 +86,7 @@ fn parallel_stream_equals_serial_on_every_engine() {
                 sink.into_batch(),
                 serial,
                 "{} diverged with {threads} threads",
-                kind.name()
+                name
             );
         }
     }
@@ -90,13 +96,12 @@ fn parallel_stream_equals_serial_on_every_engine() {
 fn multi_chunk_streams_agree_across_paths_on_fast_engines() {
     let circuit = small_circuit();
     let shots = 2 * CHUNK_SHOTS + 100;
-    for kind in fast_engines() {
-        let sampler = build(kind, &circuit);
+    for (name, sampler) in backends(&FAST_ENGINES, &circuit) {
         let serial = sampler.sample_seeded(shots, 99);
         // Streaming serial.
         let mut sink = CollectSink::new();
         sampler.sample_to(shots, 99, &mut sink).unwrap();
-        assert_eq!(sink.into_batch(), serial, "{} serial stream", kind.name());
+        assert_eq!(sink.into_batch(), serial, "{name} serial stream");
         // Streaming parallel with budgets that do and don't divide the
         // chunk count.
         for threads in [2, 3] {
@@ -108,7 +113,7 @@ fn multi_chunk_streams_agree_across_paths_on_fast_engines() {
                 sink.into_batch(),
                 serial,
                 "{} par stream ({threads} threads)",
-                kind.name()
+                name
             );
         }
         // The legacy batch parallel path is the same machinery.
@@ -123,8 +128,7 @@ fn config_thread_budgets_1_2_8_are_bit_identical_on_every_engine() {
     // `--threads` flag) changes wall-clock only — the sink sees the same
     // bytes at 1, 2, and 8 threads.
     let circuit = small_circuit();
-    for kind in EngineKind::ALL {
-        let sampler = build(kind, &circuit);
+    for (name, sampler) in backends(&EngineKind::ALL, &circuit) {
         let mut reference = None;
         for threads in [1usize, 2, 8] {
             let cfg = SimConfig::new()
@@ -136,12 +140,9 @@ fn config_thread_budgets_1_2_8_are_bit_identical_on_every_engine() {
             let batch = sink.into_batch();
             match &reference {
                 None => reference = Some(batch),
-                Some(expected) => assert_eq!(
-                    &batch,
-                    expected,
-                    "{} diverged at {threads} threads",
-                    kind.name()
-                ),
+                Some(expected) => {
+                    assert_eq!(&batch, expected, "{} diverged at {threads} threads", name)
+                }
             }
         }
     }
@@ -214,14 +215,12 @@ fn explicit_chunk_width_changes_schedule_but_not_totals() {
 #[test]
 fn zero_shots_stream_empty_everywhere() {
     let circuit = small_circuit();
-    for kind in EngineKind::ALL {
-        let sampler = build(kind, &circuit);
+    for (name, sampler) in backends(&EngineKind::ALL, &circuit) {
         let mut counting = CountingSink::default();
         sampler.sample_to(0, 1, &mut counting).unwrap();
-        assert_eq!(counting.shots, 0);
-        assert_eq!(counting.chunks, 0);
+        assert_eq!((counting.shots, counting.chunks), (0, 0), "{name}");
         let batch = sampler.sample_seeded(0, 1);
-        assert_eq!(batch.shots(), 0);
+        assert_eq!(batch.shots(), 0, "{name}");
         assert_eq!(batch.measurements.rows(), sampler.num_measurements());
     }
 }
