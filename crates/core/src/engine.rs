@@ -4,13 +4,16 @@
 //! shared tableau), Init-P (faults as symbol-coefficient flips), and Init-M
 //! (measurements: random outcomes become fresh coins + `X^s`, determined
 //! outcomes are read off the scratch row). Resets and feedback reuse the
-//! `X^e` mechanism of paper §6.
+//! `X^e` mechanism of paper §6. Before a determined outcome is read, the
+//! rows it reads are checkpointed into aliases ([`crate::alias`]), so
+//! records and corrections stay short however long the circuit runs.
 
 use symphase_circuit::{
     pauli_product_plan, Circuit, Instruction, NoiseChannel, PauliFactor, PauliKind,
 };
 use symphase_tableau::{Collapse, Tableau};
 
+use crate::alias::{Aliases, ALIAS_BASE};
 use crate::expr::SymExpr;
 use crate::phases::SymbolicPhases;
 use crate::symbol::{SymbolId, SymbolTable};
@@ -20,7 +23,11 @@ use crate::symbol::{SymbolId, SymbolTable};
 #[derive(Clone, Debug)]
 pub(crate) struct InitResult {
     pub table: SymbolTable,
+    /// Per record, its outcome over symbols and the aliases below.
     pub measurements: Vec<SymExpr>,
+    /// The checkpoint aliases the records name (none from the dense
+    /// store).
+    pub aliases: Aliases,
     /// Per record: whether the collapse drew a fresh coin (random
     /// outcome) rather than reading a determined stabilizer phase.
     /// Resets also collapse, but record nothing and so appear nowhere
@@ -44,6 +51,7 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
     // bookkeeping (see `SymbolicPhases::set_symbol_tracking_floor`).
     tab.phases_mut().set_symbol_tracking_floor(n);
     let mut table = SymbolTable::new();
+    let mut aliases = Aliases::default();
     let mut measurements: Vec<SymExpr> = Vec::with_capacity(circuit.num_measurements());
     let mut random_records: Vec<bool> = Vec::with_capacity(circuit.num_measurements());
     // One shared fault-mask scratch row for the whole traversal: every
@@ -60,21 +68,34 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
             }
             Instruction::Measure { basis, targets } => {
                 for &q in targets {
-                    let (e, random) =
-                        measure_basis_symbolic(&mut tab, &mut table, *basis, q as usize);
+                    let (e, random) = measure_basis_symbolic(
+                        &mut tab,
+                        &mut table,
+                        &mut aliases,
+                        *basis,
+                        q as usize,
+                    );
                     measurements.push(e);
                     random_records.push(random);
                 }
             }
             Instruction::Reset { basis, targets } => {
                 for &q in targets {
-                    reset_basis_symbolic(&mut tab, &mut table, &mut mask, *basis, q as usize);
+                    reset_basis_symbolic(
+                        &mut tab,
+                        &mut table,
+                        &mut aliases,
+                        &mut mask,
+                        *basis,
+                        q as usize,
+                    );
                 }
             }
             Instruction::MeasureReset { basis, targets } => {
                 for &q in targets {
                     let (e, random) = conjugated(&mut tab, *basis, q as usize, |tab| {
-                        let (e, random) = measure_symbolic(tab, &mut table, q as usize);
+                        let (e, random) =
+                            measure_symbolic(tab, &mut table, &mut aliases, q as usize);
                         apply_expr_fault(tab, &mut mask, PauliKind::X, q as usize, &e);
                         (e, random)
                     });
@@ -84,7 +105,8 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
             }
             Instruction::MeasurePauliProduct { products } => {
                 for product in products {
-                    let (e, random) = measure_product_symbolic(&mut tab, &mut table, product);
+                    let (e, random) =
+                        measure_product_symbolic(&mut tab, &mut table, &mut aliases, product);
                     measurements.push(e);
                     random_records.push(random);
                 }
@@ -123,9 +145,14 @@ pub(crate) fn initialize<S: SymbolicPhases>(circuit: &Circuit) -> InitResult {
         }
     }
 
+    assert!(
+        table.assignment_len() <= ALIAS_BASE as usize,
+        "symbol ids reached the alias range"
+    );
     InitResult {
         table,
         measurements,
+        aliases,
         random_records,
     }
 }
@@ -257,9 +284,13 @@ fn apply_expr_fault<S: SymbolicPhases>(
 /// also flip every *other* generator containing `Z_q`, breaking
 /// measurement correlations; the paper's own §3.1 tableau shows the coin
 /// entering only the new stabilizer row, which is what we do.)
+///
+/// Deterministic case: the indicated stabilizer rows are checkpointed
+/// first, so the outcome names at most one alias per row.
 fn measure_symbolic<S: SymbolicPhases>(
     tab: &mut Tableau<S>,
     table: &mut SymbolTable,
+    aliases: &mut Aliases,
     q: usize,
 ) -> (SymExpr, bool) {
     match tab.collapse_z(q) {
@@ -272,6 +303,10 @@ fn measure_symbolic<S: SymbolicPhases>(
             (SymExpr::symbol(s), true)
         }
         Collapse::Deterministic => {
+            for row in tab.indicated_stabilizers(q) {
+                tab.phases_mut()
+                    .checkpoint_row(row, &mut |part| aliases.define(part));
+            }
             tab.accumulate_deterministic(q);
             (tab.phases().row_expr(tab.scratch_row()), false)
         }
@@ -302,10 +337,13 @@ fn conjugated<S: SymbolicPhases, T>(
 fn measure_basis_symbolic<S: SymbolicPhases>(
     tab: &mut Tableau<S>,
     table: &mut SymbolTable,
+    aliases: &mut Aliases,
     basis: PauliKind,
     q: usize,
 ) -> (SymExpr, bool) {
-    conjugated(tab, basis, q, |tab| measure_symbolic(tab, table, q))
+    conjugated(tab, basis, q, |tab| {
+        measure_symbolic(tab, table, aliases, q)
+    })
 }
 
 /// Basis-general reset: collapse in the basis, then the `X^e` correction
@@ -313,12 +351,13 @@ fn measure_basis_symbolic<S: SymbolicPhases>(
 fn reset_basis_symbolic<S: SymbolicPhases>(
     tab: &mut Tableau<S>,
     table: &mut SymbolTable,
+    aliases: &mut Aliases,
     mask: &mut [u64],
     basis: PauliKind,
     q: usize,
 ) {
     conjugated(tab, basis, q, |tab| {
-        let (e, _) = measure_symbolic(tab, table, q);
+        let (e, _) = measure_symbolic(tab, table, aliases, q);
         apply_expr_fault(tab, mask, PauliKind::X, q, &e);
     });
 }
@@ -330,13 +369,14 @@ fn reset_basis_symbolic<S: SymbolicPhases>(
 fn measure_product_symbolic<S: SymbolicPhases>(
     tab: &mut Tableau<S>,
     table: &mut SymbolTable,
+    aliases: &mut Aliases,
     product: &[PauliFactor],
 ) -> (SymExpr, bool) {
     let (ops, anchor) = pauli_product_plan(product);
     for op in &ops {
         tab.apply_gate(op.gate, op.targets());
     }
-    let e = measure_symbolic(tab, table, anchor as usize);
+    let e = measure_symbolic(tab, table, aliases, anchor as usize);
     for op in ops.iter().rev() {
         tab.apply_gate(op.gate, op.targets());
     }
@@ -349,8 +389,16 @@ mod tests {
     use crate::phases::{DensePhases, SparsePhases};
     use symphase_circuit::Circuit;
 
+    /// Initialization with every alias substituted into the records.
+    fn expanded<S: SymbolicPhases>(c: &Circuit) -> InitResult {
+        let mut r = initialize::<S>(c);
+        let aliases = std::mem::take(&mut r.aliases);
+        r.measurements = r.measurements.iter().map(|e| aliases.expand(e)).collect();
+        r
+    }
+
     fn exprs<S: SymbolicPhases>(c: &Circuit) -> Vec<String> {
-        initialize::<S>(c)
+        expanded::<S>(c)
             .measurements
             .iter()
             .map(|e| e.to_string())
@@ -410,7 +458,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.h(0).cx(0, 1);
         c.measure_all();
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert_eq!(r.measurements[0], r.measurements[1]);
         assert_eq!(r.table.num_coins(), 1);
     }
@@ -421,7 +469,7 @@ mod tests {
         c.h(0);
         c.measure(0);
         c.measure(0);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert_eq!(r.measurements[0], r.measurements[1]);
         assert_eq!(r.table.num_coins(), 1);
     }
@@ -432,7 +480,7 @@ mod tests {
         c.noise(NoiseChannel::XError(0.5), &[0]);
         c.reset(0);
         c.measure(0);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert!(
             r.measurements[0].is_zero(),
             "reset must clear the fault symbol"
@@ -445,7 +493,7 @@ mod tests {
         c.noise(NoiseChannel::XError(0.5), &[0]); // s1
         c.measure_reset(0);
         c.measure(0);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert_eq!(r.measurements[0].to_string(), "s1");
         assert!(r.measurements[1].is_zero());
     }
@@ -460,7 +508,7 @@ mod tests {
         c.measure(0);
         c.feedback(PauliKind::X, -1, 1);
         c.measure(1);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert_eq!(r.measurements[0].to_string(), "s1");
         assert!(r.measurements[1].is_zero());
     }
@@ -472,7 +520,7 @@ mod tests {
         c.noise(NoiseChannel::Depolarize1(0.1), &[0]); // s1 (X), s2 (Z)
         c.h(0);
         c.measure(0);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         // In the X basis only the Z component flips the outcome.
         assert_eq!(r.measurements[0].to_string(), "s2");
     }
@@ -482,7 +530,7 @@ mod tests {
         let mut c = Circuit::new(1);
         c.noise(NoiseChannel::ZError(0.9), &[0]);
         c.measure(0);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert!(r.measurements[0].is_zero());
     }
 
@@ -491,7 +539,7 @@ mod tests {
         let mut c = Circuit::new(1);
         c.noise(NoiseChannel::YError(0.5), &[0]);
         c.measure(0);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert_eq!(r.measurements[0].to_string(), "s1");
     }
 
@@ -504,7 +552,7 @@ mod tests {
         c.noise(NoiseChannel::XError(0.5), &[0]); // s1: invisible to MX
         c.noise(NoiseChannel::ZError(0.5), &[0]); // s2: flips MX
         c.measure_in(PauliKind::X, 0);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert_eq!(r.measurements[0].to_string(), "s2");
         assert_eq!(r.table.num_coins(), 0);
     }
@@ -515,7 +563,7 @@ mod tests {
         c.noise(NoiseChannel::ZError(0.5), &[0]);
         c.reset_in(PauliKind::X, 0);
         c.measure_in(PauliKind::X, 0);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert!(r.measurements[0].is_zero(), "RX must clear phase faults");
     }
 
@@ -530,7 +578,7 @@ mod tests {
             &[(PauliKind::Z, 0), (PauliKind::Z, 1)],
             &[(PauliKind::Y, 0), (PauliKind::Y, 1)],
         ]);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert!(r.measurements[0].is_zero());
         assert!(r.measurements[1].is_zero());
         assert_eq!(r.measurements[2].to_string(), "1"); // YY = −1 → outcome 1
@@ -545,7 +593,7 @@ mod tests {
         c.measure_pauli_product(&[(PauliKind::X, 0), (PauliKind::X, 1)]);
         c.measure_pauli_product(&[(PauliKind::X, 0), (PauliKind::X, 1)]);
         c.measure_pauli_product(&[(PauliKind::Z, 0), (PauliKind::Z, 1)]);
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert_eq!(r.measurements[0], r.measurements[1]);
         assert_eq!(r.table.num_coins(), 1);
         assert!(r.measurements[2].is_zero());
@@ -558,7 +606,7 @@ mod tests {
         let mut c = Circuit::new(2);
         c.correlated_error(0.5, &[(PauliKind::X, 0), (PauliKind::X, 1)]);
         c.measure_all();
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert_eq!(r.measurements[0].to_string(), "s1");
         assert_eq!(r.measurements[1].to_string(), "s1");
         assert_eq!(r.table.num_symbols(), 1);
@@ -567,7 +615,7 @@ mod tests {
     #[test]
     fn teleportation_verification_is_symbolically_zero() {
         let c = symphase_circuit::generators::teleportation();
-        let r = initialize::<SparsePhases>(&c);
+        let r = expanded::<SparsePhases>(&c);
         assert!(
             r.measurements[2].is_zero(),
             "teleportation check must be 0, got {}",

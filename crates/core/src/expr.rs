@@ -51,6 +51,11 @@ impl SymExpr {
         }
     }
 
+    /// The expression `constant ⊕ symbols`.
+    pub(crate) fn from_parts(constant: bool, symbols: SparseBitVec) -> Self {
+        Self { constant, symbols }
+    }
+
     /// A constant expression.
     pub fn constant(value: bool) -> Self {
         Self {

@@ -41,6 +41,7 @@
 //! }
 //! ```
 
+mod alias;
 mod dem;
 mod engine;
 mod expr;

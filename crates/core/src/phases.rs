@@ -46,6 +46,14 @@ pub trait SymbolicPhases: PhaseStore {
 
     /// Extracts the full symbolic phase of `row`.
     fn row_expr(&self, row: usize) -> SymExpr;
+
+    /// Checkpoints `row` before a deterministic collapse reads it: when
+    /// its symbol part has more than one term, the part is handed to
+    /// `define`, which returns a fresh alias id, and the row keeps only
+    /// that alias (the constant term is untouched). A store may decline
+    /// and keep the full part; the outcome expressions then stay
+    /// alias-free.
+    fn checkpoint_row(&mut self, row: usize, define: &mut dyn FnMut(&[SymbolId]) -> SymbolId);
 }
 
 // ---------------------------------------------------------------------------
@@ -212,6 +220,11 @@ impl SymbolicPhases for DensePhases {
         }
         e
     }
+
+    /// Declines: a packed row has no room for alias ids, and full rows
+    /// keep the dense store the oracle the sparse store is checked
+    /// against.
+    fn checkpoint_row(&mut self, _row: usize, _define: &mut dyn FnMut(&[SymbolId]) -> SymbolId) {}
 }
 
 // ---------------------------------------------------------------------------
@@ -225,6 +238,15 @@ pub struct SparsePhases {
     rows: Vec<SparseBitVec>,
     /// Rows below this index skip symbol maintenance.
     first_tracked: usize,
+    /// Merge target of every row XOR: swapped with the row it updates,
+    /// so rows and scratch trade buffers instead of allocating.
+    scratch: SparseBitVec,
+}
+
+/// `row ^= other`, merged into `scratch`, which then swaps with `row`.
+fn xor_row(row: &mut SparseBitVec, other: &SparseBitVec, scratch: &mut SparseBitVec) {
+    row.xor_into(other, scratch);
+    std::mem::swap(row, scratch);
 }
 
 impl PhaseStore for SparsePhases {
@@ -233,6 +255,7 @@ impl PhaseStore for SparsePhases {
             constants: BitVec::zeros(rows),
             rows: vec![SparseBitVec::new(); rows],
             first_tracked: 0,
+            scratch: SparseBitVec::new(),
         }
     }
 
@@ -256,9 +279,9 @@ impl PhaseStore for SparsePhases {
         let (a, b) = (src.min(dst), src.max(dst));
         let (lo, hi) = self.rows.split_at_mut(b);
         if src < dst {
-            hi[0].xor_assign(&lo[a]);
+            xor_row(&mut hi[0], &lo[a], &mut self.scratch);
         } else {
-            lo[a].xor_assign(&hi[0]);
+            xor_row(&mut lo[a], &hi[0], &mut self.scratch);
         }
     }
 
@@ -312,7 +335,8 @@ impl SymbolicPhases for SparsePhases {
         while m != 0 {
             let b = m.trailing_zeros() as usize;
             m &= m - 1;
-            self.rows[word_index * WORD_BITS + b].xor_assign(&sym_part);
+            let row = &mut self.rows[word_index * WORD_BITS + b];
+            xor_row(row, &sym_part, &mut self.scratch);
         }
     }
 
@@ -320,6 +344,15 @@ impl SymbolicPhases for SparsePhases {
         let mut e = SymExpr::from_symbols(self.rows[row].indices().iter().copied());
         e.xor_constant(self.constants.get(row));
         e
+    }
+
+    fn checkpoint_row(&mut self, row: usize, define: &mut dyn FnMut(&[SymbolId]) -> SymbolId) {
+        let part = &mut self.rows[row];
+        if part.count_ones() > 1 {
+            let alias = define(part.indices());
+            part.clear();
+            part.flip(alias);
+        }
     }
 }
 
@@ -386,6 +419,57 @@ mod tests {
     #[test]
     fn sparse_store_behaviour() {
         exercise(SparsePhases::with_rows(130));
+    }
+
+    #[test]
+    fn sparse_row_merges_trade_buffers_with_the_scratch() {
+        let mut s = SparsePhases::with_rows(4);
+        for sym in 1..=8 {
+            s.xor_symbol_word(sym, 0, 0b11); // rows 0 and 1
+        }
+        s.xor_symbol_word(9, 0, 0b1);
+        let buffers = |s: &SparsePhases| {
+            let mut b = [s.rows[1].indices().as_ptr(), s.scratch.indices().as_ptr()];
+            b.sort();
+            b
+        };
+        s.add_row_into(0, 1, false);
+        let warm = buffers(&s);
+        for round in 0..4 {
+            s.add_row_into(0, 1, false);
+            let want: &[u32] = if round % 2 == 0 {
+                &[1, 2, 3, 4, 5, 6, 7, 8]
+            } else {
+                &[9]
+            };
+            assert_eq!(s.row_expr(1).symbol_ids(), want);
+            assert_eq!(buffers(&s), warm, "round {round} allocated");
+        }
+    }
+
+    #[test]
+    fn sparse_store_checkpoints_and_dense_store_declines() {
+        fn checkpoint<S: SymbolicPhases>(mut store: S, defs: &mut Vec<Vec<u32>>) -> S {
+            store.ensure_symbol_capacity(2);
+            store.xor_symbol_word(1, 0, 0b011);
+            store.xor_symbol_word(2, 0, 0b001);
+            store.set_constant_bit(0, true);
+            let mut define = |part: &[u32]| {
+                defs.push(part.to_vec());
+                1000 + defs.len() as u32
+            };
+            store.checkpoint_row(0, &mut define);
+            store.checkpoint_row(1, &mut define);
+            store
+        }
+        let mut defs = Vec::new();
+        let sparse = checkpoint(SparsePhases::with_rows(3), &mut defs);
+        assert_eq!(defs, vec![vec![1, 2]]);
+        assert_eq!(sparse.row_expr(0).to_string(), "1 ⊕ s1001");
+        assert_eq!(sparse.row_expr(1).to_string(), "s1");
+        let dense = checkpoint(DensePhases::with_rows(3), &mut defs);
+        assert_eq!(defs.len(), 1);
+        assert_eq!(dense.row_expr(0).to_string(), "1 ⊕ s1 ⊕ s2");
     }
 
     #[test]

@@ -1,5 +1,6 @@
 //! Algorithm 1: the SymPhase sampler.
 
+use std::collections::{HashMap, HashSet};
 use std::sync::OnceLock;
 
 use rand::{Rng, RngCore};
@@ -15,10 +16,11 @@ use symphase_bitmat::word::xor_into;
 use symphase_bitmat::{BitMatrix, SparseBitVec, SparseRowMatrix};
 use symphase_circuit::Circuit;
 
+use crate::alias::Aliases;
 use crate::engine::{initialize, InitResult};
 use crate::expr::SymExpr;
 use crate::phases::{DensePhases, SparsePhases};
-use crate::symbol::{SymbolGroup, SymbolTable};
+use crate::symbol::{SymbolGroup, SymbolId, SymbolTable};
 
 /// The SymPhase measurement sampler (paper Algorithm 1).
 ///
@@ -36,6 +38,14 @@ use crate::symbol::{SymbolGroup, SymbolTable};
 /// `nnz(M)` grows quadratically in rounds, the deltas only linearly. The
 /// delta program, the [`SamplingMethod::Auto`] pick and every kernel index
 /// are built on first use, so commands that never sample (`dem`) skip them.
+///
+/// Initialization keeps the records in checkpointed form: each names a
+/// few aliases of earlier phase rows (`crate::alias`), so Init is linear
+/// in rounds too. The detector and observable rows and the delta program
+/// are derived from that form by substitution; the full measurement rows
+/// ([`SymPhaseSampler::measurement_exprs`],
+/// [`SymPhaseSampler::measurement_matrix`]) are expanded only when asked
+/// for.
 ///
 /// # Example
 ///
@@ -60,7 +70,12 @@ pub struct SymPhaseSampler {
     /// when unpinned).
     method: SamplingMethod,
     table: SymbolTable,
-    measurement_exprs: Vec<SymExpr>,
+    /// Per record, its outcome over symbols and `aliases`.
+    records: Vec<SymExpr>,
+    aliases: Aliases,
+    /// `records` with every alias substituted, built only when asked for
+    /// (the records themselves serve when there are no aliases).
+    measurement_exprs: OnceLock<Vec<SymExpr>>,
     random_records: Vec<bool>,
     /// Per record, the previous record on the same measured qubit or
     /// Pauli product: the parent the delta program may use.
@@ -93,21 +108,61 @@ struct DeltaProgram {
 
 impl DeltaProgram {
     /// Takes each record's previous same-target record as its parent when
-    /// the XOR of the two rows is strictly sparser than the record's own
-    /// row. Deltas are merged into one reused scratch expression and
-    /// stored at exact size.
-    fn build(table: &SymbolTable, exprs: &[SymExpr], previous: &[Option<usize>]) -> Self {
-        let mut parent = Vec::with_capacity(exprs.len());
+    /// the XOR of the two full rows is strictly sparser than the record's
+    /// own full row. A parented record is never expanded: its delta is the
+    /// substituted XOR of the two checkpointed records, and its full row's
+    /// weight follows from its chain's symbol set — the set of the chain's
+    /// last record, updated by each delta's flips. Only a chain's first
+    /// record, and a record whose delta is not sparser, is stored in full.
+    fn build(
+        table: &SymbolTable,
+        records: &[SymExpr],
+        aliases: &Aliases,
+        previous: &[Option<usize>],
+    ) -> Self {
+        let mut continued = vec![false; records.len()];
+        for &p in previous.iter().flatten() {
+            continued[p] = true;
+        }
+        // The symbol set of each chain's last record, keyed by that record.
+        let mut chains: HashMap<usize, HashSet<SymbolId>> = HashMap::new();
+        let mut parent = Vec::with_capacity(records.len());
         let mut delta = SparseRowMatrix::new(table.assignment_len());
-        let mut scratch = SymExpr::zero();
-        for (m, e) in exprs.iter().enumerate() {
-            let sparser = previous[m].filter(|&p| {
-                e.xor_into(&exprs[p], &mut scratch);
-                scratch.row_weight() < e.row_weight()
-            });
-            let p = sparser.map_or(Ok(NO_PARENT), u32::try_from);
-            parent.push(p.expect("record indices fit in u32"));
-            delta.push_row(if sparser.is_some() { &scratch } else { e }.to_sparse_row());
+        let mut both = SymExpr::zero();
+        for (m, record) in records.iter().enumerate() {
+            let (row, p, symbols) = match previous[m] {
+                None => {
+                    let full = aliases.expand(record);
+                    let symbols = continued[m].then(|| full.symbol_ids().iter().copied().collect());
+                    (full, NO_PARENT, symbols)
+                }
+                Some(p) => {
+                    let mut symbols = chains
+                        .remove(&p)
+                        .expect("a chain continues at its last record");
+                    record.xor_into(&records[p], &mut both);
+                    let d = aliases.expand(&both);
+                    for id in d.symbol_ids() {
+                        if !symbols.remove(id) {
+                            symbols.insert(*id);
+                        }
+                    }
+                    let full_weight = symbols.len() + usize::from(record.constant_term());
+                    let (row, p) = if d.row_weight() < full_weight {
+                        (d, u32::try_from(p).expect("record indices fit in u32"))
+                    } else {
+                        let mut full = SymExpr::from_symbols(symbols.iter().copied());
+                        full.xor_constant(record.constant_term());
+                        (full, NO_PARENT)
+                    };
+                    (row, p, continued[m].then_some(symbols))
+                }
+            };
+            if let Some(symbols) = symbols {
+                chains.insert(m, symbols);
+            }
+            parent.push(p);
+            delta.push_row(row.to_sparse_row());
         }
         let parented = parent.iter().filter(|&&p| p != NO_PARENT).count();
         Self {
@@ -256,7 +311,7 @@ impl SymPhaseSampler {
                 for m in set {
                     acc.xor_assign(&init.measurements[m]);
                 }
-                rows.push_row(acc.to_sparse_row());
+                rows.push_row(init.aliases.expand(&acc).to_sparse_row());
             }
             rows
         };
@@ -265,7 +320,9 @@ impl SymPhaseSampler {
         Self {
             method,
             table: init.table,
-            measurement_exprs: init.measurements,
+            records: init.measurements,
+            aliases: init.aliases,
+            measurement_exprs: OnceLock::new(),
             random_records: init.random_records,
             previous_records: previous_same_target_records(circuit),
             det_rows,
@@ -291,7 +348,7 @@ impl SymPhaseSampler {
 
     /// Number of measurement outcomes per shot.
     pub fn num_measurements(&self) -> usize {
-        self.measurement_exprs.len()
+        self.records.len()
     }
 
     /// Number of detectors.
@@ -312,12 +369,20 @@ impl SymPhaseSampler {
     /// The symbolic expression of measurement `m` — which coins and faults
     /// flip it (the fault-sensitivity view of paper Fig. 1).
     pub fn measurement_expr(&self, m: usize) -> SymExpr {
-        self.measurement_exprs[m].clone()
+        self.measurement_exprs()[m].clone()
     }
 
-    /// All measurement expressions in record order.
+    /// All measurement expressions in record order (expanded on first
+    /// call; sampling never reads them).
     pub fn measurement_exprs(&self) -> &[SymExpr] {
-        &self.measurement_exprs
+        if self.aliases.is_empty() {
+            return &self.records;
+        }
+        self.measurement_exprs.get_or_init(|| {
+            let mut exprs = Vec::with_capacity(self.records.len());
+            self.aliases.expand_each(&self.records, |e| exprs.push(e));
+            exprs
+        })
     }
 
     /// Per record, whether the measurement's collapse was **random** —
@@ -347,9 +412,8 @@ impl SymPhaseSampler {
     pub fn measurement_matrix(&self) -> &SparseRowMatrix {
         self.meas_rows.get_or_init(|| {
             let mut rows = SparseRowMatrix::new(self.table.assignment_len());
-            for e in &self.measurement_exprs {
-                rows.push_row(e.to_sparse_row());
-            }
+            self.aliases
+                .expand_each(&self.records, |e| rows.push_row(e.to_sparse_row()));
             rows
         })
     }
@@ -393,7 +457,12 @@ impl SymPhaseSampler {
 
     fn program(&self) -> &DeltaProgram {
         self.program.get_or_init(|| {
-            DeltaProgram::build(&self.table, &self.measurement_exprs, &self.previous_records)
+            DeltaProgram::build(
+                &self.table,
+                &self.records,
+                &self.aliases,
+                &self.previous_records,
+            )
         })
     }
 
@@ -779,7 +848,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use symphase_circuit::generators::{
-        bell_pair, ghz, repetition_code_memory, surface_code_memory, teleportation,
+        bell_pair, ghz, repetition_code_memory, surface_code_memory_in, teleportation, MemoryBasis,
         RepetitionCodeConfig, SurfaceCodeConfig,
     };
     use symphase_circuit::NoiseChannel;
@@ -788,13 +857,64 @@ mod tests {
         StdRng::seed_from_u64(seed)
     }
 
-    fn surface(distance: usize, rounds: usize) -> Circuit {
-        surface_code_memory(&SurfaceCodeConfig {
+    fn surface_in(basis: MemoryBasis, distance: usize, rounds: usize) -> Circuit {
+        let config = SurfaceCodeConfig {
             distance,
             rounds,
             data_error: 0.001,
             measure_error: 0.001,
-        })
+        };
+        surface_code_memory_in(&config, basis)
+    }
+
+    fn surface(distance: usize, rounds: usize) -> Circuit {
+        surface_in(MemoryBasis::Z, distance, rounds)
+    }
+
+    /// The delta program built from full rows, before checkpointing: the
+    /// oracle of [`DeltaProgram::build`].
+    fn program_from_full_rows(s: &SymPhaseSampler) -> (Vec<u32>, SparseRowMatrix) {
+        let exprs = s.measurement_exprs();
+        let mut parent = Vec::new();
+        let mut delta = SparseRowMatrix::new(s.table.assignment_len());
+        let mut scratch = SymExpr::zero();
+        for (m, e) in exprs.iter().enumerate() {
+            let sparser = s.previous_records[m].filter(|&p| {
+                e.xor_into(&exprs[p], &mut scratch);
+                scratch.row_weight() < e.row_weight()
+            });
+            parent.push(sparser.map_or(NO_PARENT, |p| p as u32));
+            delta.push_row(if sparser.is_some() { &scratch } else { e }.to_sparse_row());
+        }
+        (parent, delta)
+    }
+
+    #[test]
+    fn checkpointed_program_equals_the_full_row_program() {
+        for basis in [MemoryBasis::Z, MemoryBasis::X] {
+            for rounds in [25, 100] {
+                let s = SymPhaseSampler::new(&surface_in(basis, 5, rounds));
+                assert!(
+                    !s.aliases.is_empty(),
+                    "{basis:?} r={rounds} made no aliases"
+                );
+                let program = s.program();
+                let (parent, delta) = program_from_full_rows(&s);
+                assert_eq!(program.parent, parent, "{basis:?} r={rounds}");
+                assert_eq!(program.delta, delta, "{basis:?} r={rounds}");
+            }
+        }
+    }
+
+    #[test]
+    fn checkpointed_records_grow_linearly_in_rounds() {
+        let nnz = |rounds| {
+            let s = SymPhaseSampler::new(&surface(5, rounds));
+            let records: usize = s.records.iter().map(SymExpr::row_weight).sum();
+            records + s.aliases.nnz()
+        };
+        let ratio = nnz(400) as f64 / nnz(100) as f64;
+        assert!(ratio <= 4.4, "alias program grew {ratio:.2}x for 4x rounds");
     }
 
     #[test]
@@ -805,15 +925,27 @@ mod tests {
             data_error: 0.01,
             measure_error: 0.01,
         });
+        // A parent that differs only in the constant, then a reset chain
+        // whose record keeps its full row despite a previous record.
+        let chain = "X_ERROR(0.1) 0\nM 0\nX 0\nM 0\nX_ERROR(0.1) 0\nX_ERROR(0.1) 0\n\
+                     X_ERROR(0.1) 0\nMR 0\nX_ERROR(0.1) 0\nM 0\nM 0\n";
         let circuits = [
             ("surface d=3 r=50", surface(3, 50)),
             ("repetition", repetition),
             ("ghz", ghz(6)),
             ("teleportation", teleportation()),
+            ("chain", Circuit::parse(chain).expect("parses")),
         ];
+        let mut declined = 0;
         for (name, c) in circuits {
             let s = SymPhaseSampler::new(&c);
             let program = s.program();
+            let (parent, delta) = program_from_full_rows(&s);
+            assert_eq!(program.parent, parent, "{name}");
+            assert_eq!(program.delta, delta, "{name}");
+            declined += (0..s.num_measurements())
+                .filter(|&m| s.previous_records[m].is_some() && parent[m] == NO_PARENT)
+                .count();
             let full = s.measurement_matrix();
             let mut folded: Vec<SparseBitVec> = Vec::new();
             for (m, &p) in program.parent.iter().enumerate() {
@@ -831,6 +963,7 @@ mod tests {
             }
             assert_eq!(folded.len(), s.num_measurements(), "{name}");
         }
+        assert!(declined > 0, "no record kept its full row");
         // Teleportation's coin records exercise the constant/coin columns.
         let t = SymPhaseSampler::new(&teleportation());
         assert!(t.random_measurement_records().iter().any(|&r| r));
@@ -875,6 +1008,8 @@ mod tests {
     fn dem_builds_no_sampling_structure() {
         let s = SymPhaseSampler::new(&surface(3, 5));
         let _ = s.detector_error_model();
+        assert!(!s.aliases.is_empty());
+        assert!(s.measurement_exprs.get().is_none(), "full rows expanded");
         assert!(s.program.get().is_none());
         assert!(s.meas_rows.get().is_none());
         assert!(s.hybrid_index.get().is_none());

@@ -16,7 +16,7 @@
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError, TryLockError};
 
 use symphase_backend::{EngineKind, Sampler};
 use symphase_circuit::Circuit;
@@ -33,10 +33,31 @@ pub enum CacheError<E> {
     Build(E),
 }
 
+/// The once-slot of one (circuit, engine) pair. A request builds the
+/// sampler while holding the slot's own lock, so requests for the same
+/// pair wait for that one build and requests for anything else do not.
+type Slot = Mutex<Option<Arc<dyn Sampler>>>;
+
+/// Locks `mutex`, recovering it if a build panicked while holding it:
+/// a slot is only written after its build returns, and the map is never
+/// locked during a build, so both stay consistent.
+fn lock<T: ?Sized>(mutex: &Mutex<T>) -> MutexGuard<'_, T> {
+    mutex.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// `true` when `slot` holds no sampler and no request is building one.
+fn is_unbuilt(slot: &Slot) -> bool {
+    match slot.try_lock() {
+        Ok(sampler) => sampler.is_none(),
+        Err(TryLockError::Poisoned(sampler)) => sampler.into_inner().is_none(),
+        Err(TryLockError::WouldBlock) => false,
+    }
+}
+
 struct Entry {
-    circuit: Circuit,
+    circuit: Arc<Circuit>,
     /// One slot per [`EngineKind::ALL`] position; built on first use.
-    samplers: [Option<Arc<dyn Sampler>>; EngineKind::ALL.len()],
+    slots: [Arc<Slot>; EngineKind::ALL.len()],
     /// LRU clock value of the last touch.
     last_used: u64,
 }
@@ -52,6 +73,32 @@ pub struct CircuitCache {
     capacity: usize,
     hits: AtomicU64,
     misses: AtomicU64,
+}
+
+/// Drops an entry that a failed or panicking build created, once none
+/// of its slots holds or is building a sampler: a failed build caches
+/// nothing.
+struct UnbuiltEntry<'a> {
+    cache: &'a CircuitCache,
+    hash: CircuitHash,
+    slot: &'a Arc<Slot>,
+    armed: bool,
+}
+
+impl Drop for UnbuiltEntry<'_> {
+    fn drop(&mut self) {
+        if !self.armed {
+            return;
+        }
+        let mut inner = self.cache.lock();
+        let unbuilt = inner.map.get(&self.hash).is_some_and(|entry| {
+            entry.slots.iter().any(|s| Arc::ptr_eq(s, self.slot))
+                && entry.slots.iter().all(|s| is_unbuilt(s))
+        });
+        if unbuilt {
+            inner.map.remove(&self.hash);
+        }
+    }
 }
 
 impl CircuitCache {
@@ -83,12 +130,50 @@ impl CircuitCache {
         self.lock().map.len() as u64
     }
 
-    /// The cache lock, recovered if a `build` closure panicked while
-    /// holding it: the map is only mutated after `build` returns, so a
-    /// poisoned lock still guards a consistent map, and one panicking
-    /// build must not take every later request down with it.
+    /// The map lock; held to look up, insert or evict entries, never
+    /// during a build.
     fn lock(&self) -> MutexGuard<'_, Inner> {
-        self.inner.lock().unwrap_or_else(PoisonError::into_inner)
+        lock(&self.inner)
+    }
+
+    /// The slot and circuit of `(hash, engine)`, touching the entry's LRU
+    /// clock, or of a new entry made from `circuit` (evicting the least
+    /// recently used one past capacity); the flag marks a new entry.
+    fn slot(
+        &self,
+        hash: CircuitHash,
+        circuit: Option<Circuit>,
+        index: usize,
+    ) -> Option<(Arc<Slot>, Arc<Circuit>, bool)> {
+        let mut inner = self.lock();
+        inner.clock += 1;
+        let clock = inner.clock;
+        if let Some(entry) = inner.map.get_mut(&hash) {
+            entry.last_used = clock;
+            let slot = Arc::clone(&entry.slots[index]);
+            return Some((slot, Arc::clone(&entry.circuit), false));
+        }
+        let entry = Entry {
+            circuit: Arc::new(circuit?),
+            slots: std::array::from_fn(|_| Arc::default()),
+            last_used: clock,
+        };
+        let found = (
+            Arc::clone(&entry.slots[index]),
+            Arc::clone(&entry.circuit),
+            true,
+        );
+        inner.map.insert(hash, entry);
+        if inner.map.len() > self.capacity {
+            let victim = inner
+                .map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used)
+                .map(|(h, _)| *h)
+                .expect("cache over capacity implies nonempty");
+            inner.map.remove(&victim);
+        }
+        Some(found)
     }
 
     /// The sampler for `(hash, engine)`, building and caching it on miss.
@@ -96,10 +181,11 @@ impl CircuitCache {
     /// * `circuit` supplies the parsed circuit when the caller has one (a
     ///   by-text request); `None` means the caller only knows the hash,
     ///   and a missing entry is [`CacheError::UnknownHash`].
-    /// * `build` runs at most once, under the cache lock — concurrent
-    ///   requests for the same circuit therefore initialize it exactly
-    ///   once and every other worker waits for the warm sampler instead
-    ///   of duplicating the work.
+    /// * `build` runs in the pair's once-slot, outside the cache lock:
+    ///   concurrent requests for the same pair wait for that one build
+    ///   (and count as hits), while requests for other circuits or
+    ///   engines never wait for it. A failed or panicking build leaves the
+    ///   slot empty, so the next request builds again.
     ///
     /// Returns the sampler and whether it was a cache **hit** (sampler
     /// already initialized).
@@ -110,44 +196,30 @@ impl CircuitCache {
         engine: EngineKind,
         build: impl FnOnce(&Circuit) -> Result<Box<dyn Sampler>, E>,
     ) -> Result<(Arc<dyn Sampler>, bool), CacheError<E>> {
-        let slot = EngineKind::ALL
+        let index = EngineKind::ALL
             .iter()
             .position(|k| *k == engine)
             .expect("EngineKind::ALL is complete");
-        let mut inner = self.lock();
-        inner.clock += 1;
-        let clock = inner.clock;
-        if let Some(entry) = inner.map.get_mut(&hash) {
-            entry.last_used = clock;
-            if let Some(sampler) = &entry.samplers[slot] {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return Ok((Arc::clone(sampler), true));
-            }
-            let sampler: Arc<dyn Sampler> =
-                Arc::from(build(&entry.circuit).map_err(CacheError::Build)?);
-            entry.samplers[slot] = Some(Arc::clone(&sampler));
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Ok((sampler, false));
-        }
-        let circuit = circuit.ok_or(CacheError::UnknownHash)?;
-        let sampler: Arc<dyn Sampler> = Arc::from(build(&circuit).map_err(CacheError::Build)?);
-        let mut entry = Entry {
-            circuit,
-            samplers: Default::default(),
-            last_used: clock,
+        let (slot, circuit, created) = self
+            .slot(hash, circuit, index)
+            .ok_or(CacheError::UnknownHash)?;
+        // Declared before the slot lock, so it runs after the lock is
+        // released when the build fails or panics.
+        let mut unbuilt = UnbuiltEntry {
+            cache: self,
+            hash,
+            slot: &slot,
+            armed: created,
         };
-        entry.samplers[slot] = Some(Arc::clone(&sampler));
-        inner.map.insert(hash, entry);
-        self.misses.fetch_add(1, Ordering::Relaxed);
-        if inner.map.len() > self.capacity {
-            let victim = inner
-                .map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used)
-                .map(|(h, _)| *h)
-                .expect("cache over capacity implies nonempty");
-            inner.map.remove(&victim);
+        let mut cached = lock(&slot);
+        if let Some(sampler) = &*cached {
+            self.hits.fetch_add(1, Ordering::Relaxed);
+            return Ok((Arc::clone(sampler), true));
         }
+        let sampler: Arc<dyn Sampler> = Arc::from(build(&circuit).map_err(CacheError::Build)?);
+        *cached = Some(Arc::clone(&sampler));
+        unbuilt.armed = false;
+        self.misses.fetch_add(1, Ordering::Relaxed);
         Ok((sampler, false))
     }
 }
@@ -285,5 +357,82 @@ mod tests {
             .expect("hit after a panic");
         assert!(hit);
         assert_eq!((cache.hits(), cache.misses(), cache.entries()), (1, 1, 1));
+    }
+    #[test]
+    fn a_slow_build_does_not_delay_a_warm_hit_on_another_circuit() {
+        use std::sync::mpsc;
+        use std::time::Duration;
+        let cache = &CircuitCache::new(4);
+        let (ha, ca) = circ("H 0\nM 0\n");
+        let (hb, cb) = circ("H 1\nM 1\n");
+        cache
+            .get_or_build(hb, Some(cb), EngineKind::Frame, build_ok)
+            .expect("warm B");
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let slow = scope.spawn(move || {
+                cache.get_or_build(ha, Some(ca), EngineKind::Frame, move |_| {
+                    started_tx.send(()).expect("test alive");
+                    release_rx.recv().expect("released");
+                    build_ok(&Circuit::new(1))
+                })
+            });
+            started_rx.recv().expect("A's build started");
+            let (warm_tx, warm_rx) = mpsc::channel();
+            scope.spawn(move || {
+                let hit = cache
+                    .get_or_build(hb, None, EngineKind::Frame, build_ok)
+                    .map(|(_, hit)| hit);
+                warm_tx.send(hit.is_ok_and(|hit| hit)).expect("test alive");
+            });
+            // Wait generously, then release A whatever happened, so a
+            // failure reports instead of hanging.
+            let warm = warm_rx.recv_timeout(Duration::from_secs(20));
+            release_tx.send(()).expect("A still building");
+            assert_eq!(warm, Ok(true), "the warm hit on B waited for A's build");
+            let (_, hit) = slow.join().expect("A's build").expect("A built");
+            assert!(!hit);
+        });
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (1, 2, 2));
+    }
+
+    #[test]
+    fn concurrent_requests_for_one_pair_build_it_once() {
+        use std::sync::atomic::AtomicUsize;
+        use std::sync::mpsc;
+        let cache = &CircuitCache::new(4);
+        let (h, c) = circ("H 0\nM 0\n");
+        let builds = &AtomicUsize::new(0);
+        let build = |c: &Circuit| {
+            builds.fetch_add(1, Ordering::SeqCst);
+            build_ok(c)
+        };
+        let (started_tx, started_rx) = mpsc::channel();
+        let (release_tx, release_rx) = mpsc::channel::<()>();
+        std::thread::scope(|scope| {
+            let first = scope.spawn(|| {
+                cache.get_or_build(h, Some(c.clone()), EngineKind::Frame, move |c| {
+                    started_tx.send(()).expect("test alive");
+                    release_rx.recv().expect("released");
+                    build(c)
+                })
+            });
+            // The slot is building before the other requests arrive: each
+            // either waits for that build or finds it done.
+            started_rx.recv().expect("the first build started");
+            let others: Vec<_> = (0..3)
+                .map(|_| {
+                    scope.spawn(|| cache.get_or_build(h, Some(c.clone()), EngineKind::Frame, build))
+                })
+                .collect();
+            release_tx.send(()).expect("the first build waits");
+            assert!(!first.join().expect("first").expect("built").1);
+            for other in others {
+                assert!(other.join().expect("other").expect("hit").1);
+            }
+        });
+        assert_eq!(builds.load(Ordering::SeqCst), 1);
+        assert_eq!((cache.hits(), cache.misses(), cache.entries()), (3, 1, 1));
     }
 }

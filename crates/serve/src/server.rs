@@ -21,7 +21,7 @@
 
 use std::io::{self, BufWriter, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -91,6 +91,8 @@ struct Shared {
     lint: Option<LintGate>,
     served: AtomicU64,
     busy: AtomicU64,
+    /// Workers currently handling a connection.
+    working: AtomicUsize,
     shutdown: AtomicBool,
 }
 
@@ -134,6 +136,7 @@ impl Server {
             lint,
             served: AtomicU64::new(0),
             busy: AtomicU64::new(0),
+            working: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
         });
         Ok(Server {
@@ -154,7 +157,9 @@ impl Server {
                 let shared = Arc::clone(&self.shared);
                 std::thread::spawn(move || {
                     while let Some(conn) = shared.queue.pop() {
+                        shared.working.fetch_add(1, Ordering::SeqCst);
                         handle_conn(&shared, conn);
+                        shared.working.fetch_sub(1, Ordering::SeqCst);
                     }
                 })
             })
@@ -235,6 +240,16 @@ impl ServerHandle {
     /// Current counters (the same numbers a stats request reports).
     pub fn stats(&self) -> StatsReply {
         self.shared.stats()
+    }
+
+    /// Workers currently handling a connection.
+    pub fn busy_workers(&self) -> usize {
+        self.shared.working.load(Ordering::SeqCst)
+    }
+
+    /// Connections admitted and waiting for a worker.
+    pub fn queued(&self) -> usize {
+        self.shared.queue.len()
     }
 
     /// Stops accepting, drains the queue, and joins every thread.

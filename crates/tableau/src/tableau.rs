@@ -329,18 +329,23 @@ impl<P: PhaseStore> Tableau<P> {
         assert!(a < self.n, "qubit {a} out of range");
         let scratch = self.scratch_row();
         self.clear_row(scratch);
-        let indicated: Vec<usize> = self
-            .rows_with_x_bit(a)
-            .filter(|&r| r < self.n)
-            .map(|r| r + self.n)
-            .collect();
-        for r in indicated {
+        for r in self.indicated_stabilizers(a) {
             self.rowsum(scratch, r);
         }
         debug_assert!(
             (0..self.n).all(|q| !self.x_bit(scratch, q)),
             "deterministic scratch row must be Z-type"
         );
+    }
+
+    /// The stabilizer rows [`Self::accumulate_deterministic`] multiplies
+    /// for a deterministic measurement of qubit `a`: those whose
+    /// destabilizer anticommutes with `Z_a`, ascending.
+    pub fn indicated_stabilizers(&self, a: usize) -> Vec<usize> {
+        self.rows_with_x_bit(a)
+            .filter(|&r| r < self.n)
+            .map(|r| r + self.n)
+            .collect()
     }
 
     /// First stabilizer row whose X bit at qubit `a` is set.

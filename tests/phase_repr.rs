@@ -4,13 +4,78 @@
 //! be a pure function of the circuit, and the pick must never matter for
 //! correctness: the sparse and dense stores are two layouts of the same
 //! symbolic Initialization, so they must produce identical measurement
-//! expressions on any circuit.
+//! expressions on any circuit. The sparse store also checkpoints rows into
+//! aliases that the dense store never makes, so the agreement is checked
+//! on expanded records, derived rows and the symbol table alike.
 
 use proptest::prelude::*;
 
-use symphase::circuit::generators::{LayeredCircuitConfig, PairsPerLayer};
+use symphase::circuit::generators::{
+    mpp_phase_memory, surface_code_memory_in, LayeredCircuitConfig, MemoryBasis, PairsPerLayer,
+    PhaseMemoryConfig, SurfaceCodeConfig,
+};
 use symphase::circuit::Circuit;
 use symphase::core::{PhaseRepr, SymPhaseSampler};
+
+/// Asserts that the sparse and dense stores initialize `circuit` to the
+/// same records, derived rows, collapse kinds and symbol table.
+fn assert_stores_agree(circuit: &Circuit) -> Result<(), TestCaseError> {
+    let sparse = SymPhaseSampler::with_repr(circuit, PhaseRepr::Sparse);
+    let dense = SymPhaseSampler::with_repr(circuit, PhaseRepr::Dense);
+    prop_assert_eq!(sparse.measurement_exprs(), dense.measurement_exprs());
+    prop_assert_eq!(sparse.measurement_matrix(), dense.measurement_matrix());
+    prop_assert_eq!(
+        sparse.random_measurement_records(),
+        dense.random_measurement_records()
+    );
+    prop_assert_eq!(
+        sparse.symbol_table().assignment_len(),
+        dense.symbol_table().assignment_len()
+    );
+    prop_assert_eq!(sparse.num_detectors(), dense.num_detectors());
+    for d in 0..sparse.num_detectors() {
+        prop_assert_eq!(sparse.detector_expr(d), dense.detector_expr(d));
+    }
+    prop_assert_eq!(sparse.num_observables(), dense.num_observables());
+    for o in 0..sparse.num_observables() {
+        prop_assert_eq!(sparse.observable_expr(o), dense.observable_expr(o));
+    }
+    Ok(())
+}
+
+/// Resets, measure-resets, X/Y-basis measurements, Pauli products,
+/// record feedback and correlated errors, repeated: every path that
+/// collapses, reads or corrects a checkpointed row.
+const DYNAMIC: &str = "\
+R 0 1 2 3 4
+H 0
+CX 0 1 0 2
+M 3 4
+REPEAT 30 {
+    DEPOLARIZE1(0.01) 0 1 2
+    E(0.01) X0 X1
+    ELSE_CORRELATED_ERROR(0.02) Z1 Z2
+    CX 0 3 1 3 1 4 2 4
+    X_ERROR(0.01) 3 4
+    MR 3 4
+    DETECTOR rec[-1] rec[-2]
+    MPP X0*X1*X2 Z0*Z1 Z1*Z2
+    DETECTOR rec[-2]
+    MX 2
+    MY 1
+    CX rec[-1] 0
+    CZ rec[-2] 2
+    DEPOLARIZE2(0.01) 0 1
+    M 4
+    R 4
+    RX 3
+    MRX 3
+    MRY 4
+}
+M 0 1 2
+OBSERVABLE_INCLUDE(0) rec[-1] rec[-2]
+OBSERVABLE_INCLUDE(1) rec[-3]
+";
 
 /// Random layered-circuit configurations spanning both sides of the
 /// Auto heuristic's crossover (sparse QEC-like and dense noisy).
@@ -66,19 +131,42 @@ proptest! {
     /// detector/observable rows) on random layered circuits.
     #[test]
     fn sparse_and_dense_init_results_agree(config in config_strategy()) {
-        let circuit = config.generate();
-        let sparse = SymPhaseSampler::with_repr(&circuit, PhaseRepr::Sparse);
-        let dense = SymPhaseSampler::with_repr(&circuit, PhaseRepr::Dense);
-        prop_assert_eq!(sparse.measurement_exprs(), dense.measurement_exprs());
-        prop_assert_eq!(
-            sparse.symbol_table().assignment_len(),
-            dense.symbol_table().assignment_len()
-        );
-        for d in 0..sparse.num_detectors() {
-            prop_assert_eq!(sparse.detector_expr(d), dense.detector_expr(d));
-        }
-        for o in 0..sparse.num_observables() {
-            prop_assert_eq!(sparse.observable_expr(o), dense.observable_expr(o));
+        assert_stores_agree(&config.generate())?;
+    }
+}
+
+/// The agreement on dynamic and long-memory circuits, where the sparse
+/// store checkpoints most of its reads.
+#[test]
+fn sparse_and_dense_init_results_agree_on_dynamic_circuits() {
+    let surface = |basis, rounds| {
+        let config = SurfaceCodeConfig {
+            distance: 3,
+            rounds,
+            data_error: 0.01,
+            measure_error: 0.01,
+        };
+        surface_code_memory_in(&config, basis)
+    };
+    let phase_memory = mpp_phase_memory(&PhaseMemoryConfig {
+        distance: 5,
+        rounds: 20,
+        data_error: 0.01,
+        pair_error: 0.01,
+    });
+    let circuits = [
+        ("dynamic", Circuit::parse(DYNAMIC).expect("parses")),
+        ("surface Z", surface(MemoryBasis::Z, 40)),
+        ("surface X", surface(MemoryBasis::X, 40)),
+        ("phase memory", phase_memory),
+        (
+            "teleportation",
+            symphase::circuit::generators::teleportation(),
+        ),
+    ];
+    for (name, circuit) in circuits {
+        if let Err(e) = assert_stores_agree(&circuit) {
+            panic!("{name}: {e}");
         }
     }
 }

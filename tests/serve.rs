@@ -376,13 +376,28 @@ fn by_hash_requests_reuse_an_uploaded_circuit() {
     handle.shutdown().unwrap();
 }
 
+/// Polls `ready` until it holds; fails the test after a generous
+/// deadline instead of hanging.
+fn wait_for(what: &str, mut ready: impl FnMut() -> bool) {
+    let deadline = std::time::Instant::now() + std::time::Duration::from_secs(30);
+    while !ready() {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "timed out waiting for {what}"
+        );
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+}
+
 #[test]
 fn busy_backpressure_fires_when_queue_and_workers_are_full() {
     let handle = start(
         ServeOptions {
             workers: 1,
             max_queue: 1,
-            read_timeout: Some(std::time::Duration::from_secs(2)),
+            // Longer than any wait below: the hogs must not time out
+            // before the rejected request arrives.
+            read_timeout: Some(std::time::Duration::from_secs(60)),
             ..ServeOptions::default()
         },
         None,
@@ -390,10 +405,14 @@ fn busy_backpressure_fires_when_queue_and_workers_are_full() {
     let addr = handle.addr();
     // Occupy the single worker: a connection that never sends a request.
     let worker_hog = HeldConnection::open(addr).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    wait_for("the worker to take the first connection", || {
+        handle.busy_workers() == 1
+    });
     // Occupy the single queue slot the same way.
     let queue_hog = HeldConnection::open(addr).unwrap();
-    std::thread::sleep(std::time::Duration::from_millis(150));
+    wait_for("the second connection to be queued", || {
+        handle.queued() == 1
+    });
     // The next request is rejected at admission with a typed BUSY frame.
     let req = sample_request(
         CircuitRef::Text(small_circuit().to_string()),
